@@ -36,7 +36,6 @@ from .dists import (
     SlowVaryOne,
     Weibull,
     derive_doc_law,
-    sample_bounded,
     validate_coupling,
 )
 from .mc import (
@@ -61,6 +60,6 @@ __all__ = [
     "ccdf_exact", "ccdf_exact_curve", "derive_doc_law", "empirical_ccdf",
     "exact_integer_ccdf", "exp_tail_asymptote", "exp_tail_general", "log_body",
     "log_upper_bound", "power_law_limit", "power_law_region_check", "run_tally",
-    "sample_N", "sample_N_naive", "sample_bounded", "transition_point",
+    "sample_N", "sample_N_naive", "transition_point",
     "uniform_approx", "validate_coupling", "wilson_interval",
 ]

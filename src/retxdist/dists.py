@@ -44,7 +44,6 @@ ArrayLike = Union[float, np.ndarray]
 # Grid sizes fixed by the model-validation contracts.
 COUPLING_GRID_POINTS = 64
 DERIVED_GRID_POINTS = 256
-COUPLING_TOLERANCE = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +72,15 @@ class Exponential:
     def cdf(self, x: ArrayLike) -> ArrayLike:
         return -np.expm1(-self.rate * x)
 
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        return self.rate * np.exp(-self.rate * np.asarray(x, dtype=float))
-
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
         """x such that ccdf(x) = q, for q in (0, 1]."""
         _check_q(q)
         return np.log(q) / -self.rate if isinstance(q, np.ndarray) \
             else math.log(q) / -self.rate
+
+    def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
+        """x such that log ccdf(x) = log_q, for log_q <= 0."""
+        return log_q / -self.rate
 
     def sample(self, rng) -> float:
         return float(self.quantile_ccdf(rng.uniform()))
@@ -114,16 +114,14 @@ class Weibull:
     def cdf(self, x: ArrayLike) -> ArrayLike:
         return -np.expm1(self.log_ccdf(x))
 
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        z = x / self.scale
-        return (self.index / self.scale) * z ** (self.index - 1.0) * np.exp(-(z ** self.index))
-
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
         _check_q(q)
         if isinstance(q, np.ndarray):
             return self.scale * (-np.log(q)) ** (1.0 / self.index)
         return self.scale * (-math.log(q)) ** (1.0 / self.index)
+
+    def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
+        return self.scale * (-log_q) ** (1.0 / self.index)
 
     def sample(self, rng) -> float:
         return float(self.quantile_ccdf(rng.uniform()))
@@ -171,16 +169,6 @@ class Gamma:
             return 0.0
         return gammafn.regularized_lower_gamma(self.rate * x, self.shape)
 
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        if self.shape == 1.0:
-            return self.rate * np.exp(-self.rate * x) * (x >= 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(self.shape * math.log(self.rate)
-                         + (self.shape - 1.0) * np.log(x)
-                         - self.rate * x - gammafn.log_gamma(self.shape))
-        return np.where(x < 0, 0.0, out)
-
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
         """x with Q(shape, rate*x) = q, to 1e-10 absolute tolerance in q.
 
@@ -221,6 +209,10 @@ class Gamma:
         raise NonConvergence(
             f"gamma quantile did not reach {self.QUANTILE_TOL} in "
             f"{self.QUANTILE_MAX_ITER} iterations (q={q})")
+
+    def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
+        """Survival quantile at exp(log_q), floored at the smallest subnormal."""
+        return self.quantile_ccdf(np.maximum(np.exp(log_q), 5e-324))
 
     def sample(self, rng) -> float:
         return float(self.quantile_ccdf(rng.uniform()))
@@ -295,6 +287,11 @@ class SlowVaryLogPower:
             return self.coeff * np.maximum(log_y, floor) ** self.exponent
         return self.coeff * max(log_y, floor) ** self.exponent
 
+    def log_slope(self, log_y: np.ndarray) -> np.ndarray:
+        """d log ell / d log y: exponent / log y above the clamp, 0 below."""
+        floor = math.log(self.x_min)
+        return np.where(log_y > floor, self.exponent / np.maximum(log_y, floor), 0.0)
+
     def params(self) -> dict:
         return {"kind": self.kind, "coeff": self.coeff,
                 "exponent": self.exponent, "x_min": self.x_min}
@@ -327,20 +324,24 @@ class SlowVaryGammaDoc:
         if not (self.doc_rate > 0.0 and self.shape > 0.0 and self.channel_rate > 0.0):
             raise InvalidParameter("doc_rate, shape and channel_rate must be positive")
 
-    def _f(self, t: ArrayLike) -> ArrayLike:
+    def _f(self, t: ArrayLike, deriv: bool = False) -> ArrayLike:
+        """f(t), or its derivative f'(t) when deriv is set."""
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         k = self.shape
         lam = self.doc_rate
         if float(k).is_integer() and k <= 40:
             m = int(k) - 1
             acc = np.zeros_like(t)
-            for j in range(m + 1):
-                acc += (math.comb(m, j) * math.factorial(j) / lam ** j) * t ** (m - j)
+            for j in range(m + 1 - deriv):
+                c = math.comb(m, j) * math.factorial(j) / lam ** j
+                acc += (c * (m - j) if deriv else c) * t ** (m - j - deriv)
             return lam ** m / gammafn.gamma(k) * acc
         z, w = _laguerre_rule(self.laguerre_order)
         tt = np.atleast_1d(t).ravel()
-        vals = (z[None, :] / lam + tt[:, None]) ** (k - 1.0)
+        vals = (z[None, :] / lam + tt[:, None]) ** (k - 1.0 - deriv)
         out = lam ** (k - 1.0) / gammafn.gamma(k) * (vals @ w)
+        if deriv:
+            out *= k - 1.0
         return out.reshape(t.shape)
 
     def value(self, y: ArrayLike) -> ArrayLike:
@@ -351,6 +352,11 @@ class SlowVaryGammaDoc:
     def value_log(self, log_y: ArrayLike) -> ArrayLike:
         out = 1.0 / self._f(np.asarray(log_y, dtype=float) / self.channel_rate)
         return out if isinstance(log_y, np.ndarray) else float(out)
+
+    def log_slope(self, log_y: np.ndarray) -> np.ndarray:
+        """d log ell / d log y = -f'(t) / (channel_rate f(t)), t = log y / channel_rate."""
+        t = log_y / self.channel_rate
+        return -self._f(t, deriv=True) / (self.channel_rate * self._f(t))
 
     def params(self) -> dict:
         return {"kind": self.kind, "doc_rate": self.doc_rate, "shape": self.shape,
@@ -365,6 +371,12 @@ SlowVary = Union[SlowVaryOne, SlowVaryLogPower, SlowVaryGammaDoc]
 # ---------------------------------------------------------------------------
 
 
+def _derived_log_raw(alpha: float, ell: SlowVary, log_g: ArrayLike) -> ArrayLike:
+    """h(s) = alpha * s - log ell(-s): the unclamped derived log survival at
+    channel log survival s."""
+    return alpha * log_g - np.log(ell.value_log(-log_g))
+
+
 @dataclass(frozen=True)
 class DerivedLaw:
     """Document law defined from the channel through the coupling relation.
@@ -373,21 +385,32 @@ class DerivedLaw:
     and may exceed 1 near the origin; it is clamped to min(1, raw), and
     x_anchor records the first grid point where the raw expression drops
     below 1 (the clamp is inactive beyond it).
+
+    The raw log survival depends on x only through s = log Gbar(x):
+    h(s) = alpha * s - log ell(-s). The quantile solves h(s) = log q for
+    s <= 0 and maps s back through the channel's log-survival quantile.
+    With ell == 1 the root is log q / alpha in closed form; otherwise a
+    vectorized Newton iteration starts there, stays inside a bracket that
+    every evaluation narrows (bisecting when a step leaves it), and stops
+    once its step in s is down to rounding noise. Where log q >= h(0) the
+    law is at or below q already at x = 0, so the quantile is 0, as it is
+    for q = 1.
     """
 
     channel: Union[Exponential, Weibull, Gamma]
     alpha: float
     ell: SlowVary
     x_anchor: float
-    grid_hi: float
     family = "derived"
+
+    QUANTILE_STEP_TOL = 4.0 * np.finfo(float).eps
+    QUANTILE_MAX_ITER = 100
 
     def log_ccdf(self, x: ArrayLike) -> ArrayLike:
         log_g = self.channel.log_ccdf(np.asarray(x, dtype=float)
                                       if isinstance(x, np.ndarray) else x)
-        raw = self.alpha * np.asarray(log_g, dtype=float) \
-            - np.log(self.ell.value_log(-np.asarray(log_g, dtype=float)))
-        out = np.minimum(raw, 0.0)
+        out = np.minimum(_derived_log_raw(self.alpha, self.ell,
+                                          np.asarray(log_g, dtype=float)), 0.0)
         return out if isinstance(x, np.ndarray) else float(out)
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
@@ -397,36 +420,60 @@ class DerivedLaw:
     def cdf(self, x: ArrayLike) -> ArrayLike:
         return 1.0 - self.ccdf(x)
 
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        """Numerical density, central difference with h = max(1e-6, 1e-6 x)."""
-        x = np.asarray(x, dtype=float)
-        h = np.maximum(1e-6, 1e-6 * x)
-        lo = np.maximum(x - h, 0.0)
-        return (self.ccdf(lo) - self.ccdf(x + h)) / (x + h - lo)
-
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
         _check_q(q)
         scalar = not isinstance(q, np.ndarray)
         qa = np.atleast_1d(np.asarray(q, dtype=float))
-        hi = self.grid_hi
-        # Expand until the whole target range is bracketed.
-        qmin = float(qa.min())
-        for _ in range(1100):
-            if float(self.ccdf(np.array([hi]))[0]) <= qmin:
-                break
-            hi *= 2.0
+        log_q = np.log(qa)
+        if isinstance(self.ell, SlowVaryOne):
+            s = log_q / self.alpha
         else:
-            raise NonConvergence("derived quantile bracket expansion failed")
-        lo = np.zeros_like(qa)
-        hi_arr = np.full_like(qa, hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi_arr)
-            above = self.ccdf(mid) > qa
-            lo = np.where(above, mid, lo)
-            hi_arr = np.where(above, hi_arr, mid)
-        out = 0.5 * (lo + hi_arr)
-        out = np.where(qa == 1.0, 0.0, out)
+            s = self._solve_log_survival(log_q)
+        out = np.where(qa == 1.0, 0.0, self.channel.quantile_log_ccdf(s))
         return float(out[0]) if scalar else out
+
+    def _solve_log_survival(self, log_q: np.ndarray) -> np.ndarray:
+        """s <= 0 with h(s) = log_q, by bracketed Newton; 0 where log_q >= h(0).
+
+        An iterate is accepted once the step that reached it is within the
+        rounding noise of s, widened by 1/h'(s) where h' < 1: where h is
+        flat (q near 1 under gamma_doc_exact) s is known no better than that.
+        """
+        s = np.zeros_like(log_q)
+        h_at_zero = -math.log(self.ell.value_log(0.0))
+        idx = np.flatnonzero(log_q < h_at_zero)
+        target = log_q[idx]
+        cur = target / self.alpha
+        step = np.full_like(cur, np.inf)
+        lo = np.full_like(cur, -np.inf)     # h(lo) < target <= h(hi)
+        hi = np.zeros_like(cur)
+        for _ in range(self.QUANTILE_MAX_ITER):
+            h = _derived_log_raw(self.alpha, self.ell, cur)
+            slope = self.alpha + self.ell.log_slope(-cur)
+            noise = self.QUANTILE_STEP_TOL * (1.0 + np.abs(cur))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                noise = np.where(slope > 0.0, noise / np.minimum(slope, 1.0), noise)
+            done = step <= noise
+            s[idx[done]] = cur[done]
+            keep = ~done
+            idx, target, cur, h, slope = idx[keep], target[keep], cur[keep], h[keep], slope[keep]
+            if idx.size == 0:
+                return s
+            lo, hi = lo[keep], hi[keep]
+            below = h < target
+            lo = np.where(below, cur, lo)
+            hi = np.where(below, hi, cur)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nxt = cur - (h - target) / slope
+            # Outside the bracket: bisect it, or step down while unbounded below.
+            stray = ~((nxt >= lo) & (nxt <= hi))
+            nxt[stray] = np.where(np.isinf(lo), 2.0 * hi - 1.0, 0.5 * (lo + hi))[stray]
+            step = np.abs(nxt - cur)
+            cur = nxt
+        raise NonConvergence(
+            f"derived quantile: {idx.size} values still moving after "
+            f"{self.QUANTILE_MAX_ITER} bracketed Newton steps "
+            f"(log q from {target.min():.6g})")
 
     def sample(self, rng) -> float:
         return float(self.quantile_ccdf(rng.uniform()))
@@ -502,11 +549,6 @@ class BoundedDoc:
         out = dict(self.base.params())
         out["bound"] = self.bound
         return out
-
-
-def sample_bounded(doc: BoundedDoc, rng) -> float:
-    """One draw from the truncated document law."""
-    return doc.sample(rng)
 
 
 class CouplingMode(Enum):
@@ -588,7 +630,7 @@ def derive_doc_law(channel: Law, alpha: float, ell: SlowVary,
     grid_hi = bound if math.isfinite(bound) else float(channel.quantile_ccdf(1e-12))
     xs = np.linspace(0.0, grid_hi, DERIVED_GRID_POINTS)
     log_g = np.asarray(channel.log_ccdf(xs), dtype=float)
-    raw_log = alpha * log_g - np.log(ell.value_log(-log_g))
+    raw_log = _derived_log_raw(alpha, ell, log_g)
     if np.any(np.diff(raw_log) > 1e-12):
         raise NotMonotone(
             "derived survival function is not nonincreasing on the check grid")
@@ -596,8 +638,7 @@ def derive_doc_law(channel: Law, alpha: float, ell: SlowVary,
     if below.size == 0:
         raise DegenerateTruncation(
             "derived survival function exceeds 1 on the whole grid")
-    law = DerivedLaw(channel, alpha, ell,
-                     x_anchor=float(xs[below[0]]), grid_hi=grid_hi)
+    law = DerivedLaw(channel, alpha, ell, x_anchor=float(xs[below[0]]))
     return CoupledModel(channel, BoundedDoc(law, bound), alpha, ell,
                         CouplingMode.DERIVED)
 

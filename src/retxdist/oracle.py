@@ -47,7 +47,8 @@ class OracleResult:
     """One exact CCDF value with an error estimate.
 
     log_value is exact even when value underflows to 0; est_abs_err is the
-    quadrature error propagated to the linear scale.
+    quadrature error propagated to the linear scale; evaluations counts
+    integrand points.
     """
 
     n: int
@@ -55,6 +56,7 @@ class OracleResult:
     est_abs_err: float
     subdivisions: int
     log_value: float
+    evaluations: int = 0
 
 
 def _log_survival_map(m: CoupledModel):
@@ -98,7 +100,8 @@ def ccdf_exact(m: CoupledModel, n: int, *,
     log_value = log_peak + math.log(quad.value)
     value = math.exp(log_value) if log_value > -745.0 else 0.0
     est_abs_err = value * (quad.abs_err / quad.value)
-    return OracleResult(n, value, est_abs_err, quad.panels, log_value)
+    return OracleResult(n, value, est_abs_err, quad.panels, log_value,
+                        quad.evaluations)
 
 
 def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,

@@ -89,7 +89,6 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
     lo, hi = edges[:-1].copy(), edges[1:].copy()
     vals, errs = _eval_panels(f, lo, hi)
     evaluations = 15 * len(lo)
-    min_width = max(abs(b - a), 1.0) * 1e-15
 
     while True:
         total = float(vals.sum())
@@ -103,7 +102,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
         mask = errs > share
         if not mask.any():
             mask = errs >= errs.max()
-        splittable = (hi - lo) > min_width
+        # relative floor: panels at a cusp near 0 keep splitting toward it
+        splittable = (hi - lo) > 1e-15 * np.maximum(np.abs(lo), np.abs(hi))
         mask &= splittable
         if not mask.any():
             raise QuadratureFailure(

@@ -140,7 +140,7 @@ def test_criterion_03_uniform_approximation_accuracy(name, tol):
     assert worst <= tol, (
         f"{name}: max rel err {worst:.4f} at {where} exceeds {tol}; "
         "the closed form's finite-bound error itself exceeds the stated "
-        "tolerance (see notes/decisions.md)")
+        'tolerance (see README "Tests")')
 
 
 def test_criterion_04_power_law_limit():
@@ -228,7 +228,7 @@ def test_criterion_06_log_scale_ratio():
         f"b=4 max dev {maxima[4.0][0]:.4f} (limit 0.15), b=2 max "
         f"{maxima[2.0][0]:.4f}; the handover region of the wider bound "
         "peaks higher, so the stated ordering cannot hold "
-        "(see notes/decisions.md)")
+        '(see README "Tests")')
 
 
 def test_criterion_07_log_upper_bound():

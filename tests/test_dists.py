@@ -15,6 +15,7 @@ from retxdist.dists import (
     BoundedDoc,
     CoupledModel,
     CouplingMode,
+    DerivedLaw,
     Exponential,
     Gamma,
     SlowVaryGammaDoc,
@@ -29,6 +30,7 @@ from retxdist.dists import (
 from retxdist.errors import (
     DegenerateTruncation,
     InvalidParameter,
+    NonConvergence,
     NotMonotone,
 )
 from retxdist.mc import RandomStream
@@ -320,6 +322,73 @@ class TestDerivedLaw:
         with pytest.raises(NotMonotone):
             derive_doc_law(Exponential(1.0), 0.5,
                            SlowVaryLogPower(1.0, -5.0), 20.0)
+
+
+# (channel, bound) x (alpha, ell): the derived laws the quantile tests cover.
+DERIVED_CHANNELS = [(Exponential(2.0), 3.0), (Weibull(0.5, 1.0), 16.0),
+                    (Gamma(2.0, 2.0), 3.0)]
+DERIVED_ELLS = [(2.0, SlowVaryOne()), (1.5, SlowVaryLogPower(1.0, 1.0)),
+                (1.0, SlowVaryGammaDoc(2.0, 2.0, 2.0))]
+
+
+@pytest.fixture(params=[(c, e) for c in DERIVED_CHANNELS for e in DERIVED_ELLS],
+                ids=lambda p: f"{p[0][0].family}-{p[1][1].kind}")
+def derived_model(request):
+    (channel, bound), (alpha, ell) = request.param
+    return derive_doc_law(channel, alpha, ell, bound)
+
+
+class TestDerivedQuantile:
+    """The log-survival inversion of derived laws, s = log Gbar(x)."""
+
+    def test_roundtrip_from_bound_to_one(self, derived_model):
+        law = derived_model.doc.base
+        fbar_b = float(law.ccdf(derived_model.bound))
+        qs = np.concatenate([np.geomspace(fbar_b, 0.5, 300),
+                             1.0 - np.geomspace(0.5, 1e-9, 300)])
+        xs = law.quantile_ccdf(qs)
+        assert np.all((xs >= 0.0) & (xs <= derived_model.bound * (1 + 1e-12)))
+        assert np.max(np.abs(np.asarray(law.ccdf(xs)) - qs)) <= 1e-9
+        for q in (fbar_b, 0.3, 1.0 - 1e-9):
+            assert abs(law.ccdf(law.quantile_ccdf(q)) - q) <= 1e-9
+
+    def test_truncated_draws_are_uniform_under_cdf(self, derived_model):
+        xs = derived_model.doc.sample_vec(RandomStream(45), 200_000)
+        d = ks_statistic_uniform(np.asarray(derived_model.doc.cdf(xs)))
+        assert d < 1.95 / math.sqrt(len(xs))
+
+    def test_trivial_ell_exponential_is_exponential(self):
+        rate, alpha = 2.0, 1.7
+        law = derive_doc_law(Exponential(rate), alpha, SlowVaryOne(), math.inf).doc.base
+        qs = np.concatenate([np.geomspace(1e-300, 0.5, 200),
+                             1.0 - np.geomspace(0.5, 1e-15, 200)])
+        want = Exponential(alpha * rate).quantile_ccdf(qs)
+        assert np.max(np.abs(law.quantile_ccdf(qs) / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("ell", [SlowVaryLogPower(1.0, 1.0),
+                                     SlowVaryLogPower(0.5, -0.5),
+                                     SlowVaryGammaDoc(2.0, 2.0, 2.0),
+                                     SlowVaryGammaDoc(2.0, 2.5, 1.5)])
+    def test_log_slope_is_derivative(self, ell):
+        # Newton's h'(s) = alpha + log_slope(-s) must match h itself
+        log_y = np.linspace(1.5, 30.0, 50)
+        h = 1e-6
+        fd = (np.log(ell.value_log(log_y + h)) - np.log(ell.value_log(log_y - h))) / (2 * h)
+        assert np.max(np.abs(ell.log_slope(log_y) - fd)) <= 1e-7
+
+    def test_quantile_zero_where_law_starts_below_q(self):
+        # coeff 2: the raw survival is 1/2 at x = 0, so every q above it maps to 0
+        law = derive_doc_law(Exponential(1.0), 1.5, SlowVaryLogPower(2.0, 1.0), 8.0).doc.base
+        assert law.ccdf(0.0) == pytest.approx(0.5)
+        assert np.all(law.quantile_ccdf(np.array([0.6, 0.9, 1.0])) == 0.0)
+        assert law.quantile_ccdf(0.25) > 0.0
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        law = derive_doc_law(Exponential(2.0), 1.0,
+                             SlowVaryGammaDoc(2.0, 2.0, 2.0), 3.0).doc.base
+        monkeypatch.setattr(DerivedLaw, "QUANTILE_MAX_ITER", 2)
+        with pytest.raises(NonConvergence):
+            law.quantile_ccdf(np.array([0.5, 1e-3]))
 
 
 class TestSerialization:

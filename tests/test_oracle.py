@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from conftest import model_1a, model_4
+from conftest import model_1a, model_3, model_4
 from retxdist.asym import ApproxParams, exact_integer_ccdf, log_exact_integer_ccdf
 from retxdist.errors import InvalidParameter, QuadratureFailure
 from retxdist.mc import empirical_ccdf, run_tally
@@ -39,6 +39,12 @@ class TestPointValues:
             res = ccdf_exact(exp_pair_b2, n)
             assert res.est_abs_err <= 1e-12 * max(res.value, 1e-300)
 
+    def test_evaluation_count(self, exp_pair_b2):
+        res = ccdf_exact(exp_pair_b2, 10)
+        assert res.evaluations >= 15 * res.subdivisions
+        assert res.evaluations % 15 == 0
+        assert ccdf_exact(exp_pair_b2, 0).evaluations == 0
+
     def test_negative_n_rejected(self, exp_pair_b2):
         with pytest.raises(InvalidParameter):
             ccdf_exact(exp_pair_b2, -1)
@@ -57,6 +63,17 @@ class TestDeepTail:
     def test_linear_and_log_agree_in_range(self, exp_pair_b2):
         res = ccdf_exact(exp_pair_b2, 30)
         assert math.log(res.value) == pytest.approx(res.log_value, rel=1e-12)
+
+    def test_cusp_at_zero_resolved(self):
+        # example3 k2_b8: alpha = 4 puts a v^(1/4) cusp at v = 0 that needs
+        # panels narrower than any absolute width floor
+        m = model_3(2.0, 2.0)
+        p = ApproxParams.from_model(m)
+        logs = [ccdf_exact(m, n).log_value for n in (178, 1_000, 10_000)]
+        assert all(math.isfinite(v) for v in logs)
+        assert logs[0] > logs[1] > logs[2]
+        for n, v in zip((178, 1_000, 10_000), logs):
+            assert v == pytest.approx(log_exact_integer_ccdf(p, n), rel=1e-10)
 
 
 class TestCurves:
