@@ -21,16 +21,12 @@ from typing import Optional, Sequence
 from . import asym, experiment
 from .dists import CouplingMode, SlowVaryOne, validate_coupling
 from .errors import ConfigInvalid, IoFailure, RetxError
-from .experiment import ExperimentConfig, load_config, preset, preset_names
+from .experiment import ExperimentConfig, _fmt, load_config, preset, preset_names
 from .mc import Source
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -149,33 +145,27 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_APPROX_FNS = {
-    "uniform_approx": asym.uniform_approx,
-    "power_law": asym.power_law_limit,
-    "exact_integer": asym.exact_integer_ccdf,
-    "exp_tail": None,    # resolved per model (fixed-bound vs general)
-    "log_body": asym.log_body,
-}
+def _approx_kinds(ell) -> dict:
+    """Closed form per `approx --kind` name, for a model with this ell."""
+    return {source.value: fn for source, fn in experiment.closed_forms(ell).items()}
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    fns = _approx_kinds(cfg.ell)
     kinds = args.kind or ["uniform_approx", "power_law"]
-    unknown = [k for k in kinds if k not in _APPROX_FNS]
+    unknown = [k for k in kinds if k not in fns]
     if unknown:
         raise ConfigInvalid(f"unknown approximation kinds: {unknown}")
     print("case,n," + ",".join(kinds))
     for label, model in _case_models(cfg):
         p = asym.ApproxParams.from_model(model)
-        exp_tail_fn = asym.exp_tail_asymptote if isinstance(cfg.ell, SlowVaryOne) \
-            else asym.exp_tail_general
         grid = args.n if args.n else _case_grid(cfg, model)
         for n in grid:
             cells = []
             for kind in kinds:
-                fn = exp_tail_fn if kind == "exp_tail" else _APPROX_FNS[kind]
                 try:
-                    cells.append(_fmt(fn(p, n)))
+                    cells.append(_fmt(fns[kind](p, n)))
                 except RetxError:
                     cells.append("")
             print(f"{label},{n}," + ",".join(cells))
@@ -235,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p_approx, with_run_knobs=False)
     p_approx.add_argument("--n", type=int, action="append")
     p_approx.add_argument("--kind", action="append",
-                          help=f"one of {sorted(_APPROX_FNS)} (repeatable)")
+                          help=f"one of {sorted(_approx_kinds(SlowVaryOne()))} (repeatable)")
     p_approx.add_argument("--n-max", type=int, dest="n_max")
     p_approx.set_defaults(fn=_cmd_approx)
 

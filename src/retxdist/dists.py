@@ -12,9 +12,10 @@ document-size survival function. Models can be built parametrically (both
 laws given, relation verified on a grid) or derived (document law defined
 from the channel law through the relation).
 
-Scalar evaluations of the gamma family go through the in-house
-incomplete-Gamma evaluator; ndarray evaluations use scipy.special's
-equivalents for speed. The two routes are cross-checked in the tests.
+Every law method takes an array (or a number) and returns the numpy
+result of one vectorized body; a 0-d input comes back as an np.float64.
+The gamma family evaluates through scipy.special, cross-checked against
+the in-house incomplete Gamma in the tests.
 
 All classes are immutable after construction and safe to share across
 workers.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -63,27 +63,21 @@ class Exponential:
             raise InvalidParameter(f"rate must be positive, got {self.rate}")
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
-        return np.exp(-self.rate * np.asarray(x, dtype=float)) if isinstance(x, np.ndarray) \
-            else math.exp(-self.rate * x)
+        return np.exp(-self.rate * np.asarray(x, dtype=float))
 
     def log_ccdf(self, x: ArrayLike) -> ArrayLike:
-        return -self.rate * x
+        return -self.rate * np.asarray(x, dtype=float)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        return -np.expm1(-self.rate * x)
+        return -np.expm1(-self.rate * np.asarray(x, dtype=float))
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
         """x such that ccdf(x) = q, for q in (0, 1]."""
-        _check_q(q)
-        return np.log(q) / -self.rate if isinstance(q, np.ndarray) \
-            else math.log(q) / -self.rate
+        return np.log(_check_q(q)) / -self.rate
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         """x such that log ccdf(x) = log_q, for log_q <= 0."""
-        return log_q / -self.rate
-
-    def sample(self, rng) -> float:
-        return float(self.quantile_ccdf(rng.uniform()))
+        return np.asarray(log_q, dtype=float) / -self.rate
 
     def params(self) -> dict:
         return {"family": self.family, "rate": self.rate}
@@ -103,28 +97,19 @@ class Weibull:
                 f"index and scale must be positive, got {self.index}, {self.scale}")
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
-        return np.exp(self.log_ccdf(x)) if isinstance(x, np.ndarray) \
-            else math.exp(self.log_ccdf(x))
+        return np.exp(self.log_ccdf(x))
 
     def log_ccdf(self, x: ArrayLike) -> ArrayLike:
-        if isinstance(x, np.ndarray):
-            return -((np.asarray(x, dtype=float) / self.scale) ** self.index)
-        return -((x / self.scale) ** self.index)
+        return -np.power(np.asarray(x, dtype=float) / self.scale, self.index)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
         return -np.expm1(self.log_ccdf(x))
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
-        _check_q(q)
-        if isinstance(q, np.ndarray):
-            return self.scale * (-np.log(q)) ** (1.0 / self.index)
-        return self.scale * (-math.log(q)) ** (1.0 / self.index)
+        return self.scale * np.power(-np.log(_check_q(q)), 1.0 / self.index)
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
-        return self.scale * (-log_q) ** (1.0 / self.index)
-
-    def sample(self, rng) -> float:
-        return float(self.quantile_ccdf(rng.uniform()))
+        return self.scale * np.power(-np.asarray(log_q, dtype=float), 1.0 / self.index)
 
     def params(self) -> dict:
         return {"family": self.family, "index": self.index, "scale": self.scale}
@@ -134,17 +119,13 @@ class Weibull:
 class Gamma:
     """Gamma law with rate/shape parameterization.
 
-    Survival function G(rate * x, shape) / Gamma(shape). Scalars evaluate
-    through :mod:`retxdist.gammafn`; ndarrays go through scipy for speed
-    (the sampler pushes 1e7 quantiles through this path).
+    Survival function G(rate * x, shape) / Gamma(shape), evaluated and
+    inverted through scipy.special.
     """
 
     rate: float
     shape: float
     family = "gamma"
-
-    QUANTILE_TOL = 1e-10
-    QUANTILE_MAX_ITER = 200
 
     def __post_init__(self) -> None:
         if not (self.rate > 0.0 and self.shape > 0.0):
@@ -152,81 +133,35 @@ class Gamma:
                 f"rate and shape must be positive, got {self.rate}, {self.shape}")
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
-        if isinstance(x, np.ndarray):
-            return special.gammaincc(self.shape, self.rate * np.asarray(x, dtype=float))
-        return gammafn.regularized_upper_gamma(self.rate * x, self.shape)
+        return special.gammaincc(self.shape, self.rate * np.asarray(x, dtype=float))
 
     def log_ccdf(self, x: ArrayLike) -> ArrayLike:
-        if isinstance(x, np.ndarray):
-            with np.errstate(divide="ignore"):
-                return np.log(special.gammaincc(self.shape, self.rate * x))
-        return gammafn.log_regularized_upper_gamma(self.rate * x, self.shape)
+        with np.errstate(divide="ignore"):
+            return np.log(self.ccdf(x))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        if isinstance(x, np.ndarray):
-            return special.gammainc(self.shape, self.rate * np.asarray(x, dtype=float))
-        if x <= 0.0:
-            return 0.0
-        return gammafn.regularized_lower_gamma(self.rate * x, self.shape)
+        return special.gammainc(self.shape, self.rate * np.asarray(x, dtype=float))
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
-        """x with Q(shape, rate*x) = q, to 1e-10 absolute tolerance in q.
-
-        Scalar path: bracketed bisection refined by Newton steps on the
-        in-house regularized survival function, capped at 200 iterations.
-        """
-        _check_q(q)
-        if isinstance(q, np.ndarray):
-            return special.gammainccinv(self.shape, q) / self.rate
-        if q == 1.0:
-            return 0.0
-        lo, hi = 0.0, self.shape + 1.0
-        while gammafn.regularized_upper_gamma(hi, self.shape) > q:
-            hi *= 2.0
-            if hi > 1e300:
-                raise NonConvergence("gamma quantile bracket expansion failed")
-        y = 0.5 * (lo + hi)
-        log_norm = -gammafn.log_gamma(self.shape)
-        for _ in range(self.QUANTILE_MAX_ITER):
-            f = gammafn.regularized_upper_gamma(y, self.shape) - q
-            if abs(f) <= self.QUANTILE_TOL:
-                return y / self.rate
-            if f > 0.0:
-                lo = y
-            else:
-                hi = y
-            # dQ/dy = -e^(-y) y^(shape-1) / Gamma(shape); Newton when usable.
-            step_ok = False
-            if y > 0.0:
-                log_pdf = -y + (self.shape - 1.0) * math.log(y) + log_norm
-                if log_pdf > -700.0:
-                    y_new = y + f / math.exp(log_pdf)
-                    if lo < y_new < hi:
-                        y = y_new
-                        step_ok = True
-            if not step_ok:
-                y = 0.5 * (lo + hi)
-        raise NonConvergence(
-            f"gamma quantile did not reach {self.QUANTILE_TOL} in "
-            f"{self.QUANTILE_MAX_ITER} iterations (q={q})")
+        """x with Q(shape, rate*x) = q."""
+        return special.gammainccinv(self.shape, _check_q(q)) / self.rate
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         """Survival quantile at exp(log_q), floored at the smallest subnormal."""
         return self.quantile_ccdf(np.maximum(np.exp(log_q), 5e-324))
 
-    def sample(self, rng) -> float:
-        return float(self.quantile_ccdf(rng.uniform()))
-
     def params(self) -> dict:
         return {"family": self.family, "rate": self.rate, "shape": self.shape}
 
 
-def _check_q(q: ArrayLike) -> None:
-    if isinstance(q, np.ndarray):
-        if np.any(q <= 0.0) or np.any(q > 1.0):
-            raise InvalidParameter("quantile argument must lie in (0, 1]")
-    elif not 0.0 < q <= 1.0:
-        raise InvalidParameter(f"quantile argument must lie in (0, 1], got {q}")
+def _check_q(q: ArrayLike) -> np.ndarray:
+    """q as a float array, after checking that every value lies in (0, 1]."""
+    q = np.asarray(q, dtype=float)
+    ok = (q > 0.0) & (q <= 1.0)
+    if not ok.all():
+        raise InvalidParameter(
+            f"quantile argument must lie in (0, 1], got {q[~ok].flat[0]}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +169,14 @@ def _check_q(q: ArrayLike) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _laguerre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(order)
-
-
 @dataclass(frozen=True)
 class SlowVaryOne:
     """The trivial slowly varying function, ell == 1."""
 
-    x_min: float = math.e
     kind = "one"
 
-    def value(self, y: ArrayLike) -> ArrayLike:
-        return np.ones_like(np.asarray(y, dtype=float)) if isinstance(y, np.ndarray) else 1.0
-
     def value_log(self, log_y: ArrayLike) -> ArrayLike:
-        return np.ones_like(np.asarray(log_y, dtype=float)) \
-            if isinstance(log_y, np.ndarray) else 1.0
+        return np.ones_like(np.asarray(log_y, dtype=float))[()]
 
     def params(self) -> dict:
         return {"kind": self.kind}
@@ -277,24 +202,25 @@ class SlowVaryLogPower:
         if self.x_min < math.e:
             raise InvalidParameter(f"x_min must be >= e, got {self.x_min}")
 
-    def value(self, y: ArrayLike) -> ArrayLike:
-        return self.value_log(np.log(np.asarray(y, dtype=float))
-                              if isinstance(y, np.ndarray) else math.log(max(y, 1e-300)))
-
     def value_log(self, log_y: ArrayLike) -> ArrayLike:
         floor = math.log(self.x_min)
-        if isinstance(log_y, np.ndarray):
-            return self.coeff * np.maximum(log_y, floor) ** self.exponent
-        return self.coeff * max(log_y, floor) ** self.exponent
+        return self.coeff * np.power(np.maximum(np.asarray(log_y, dtype=float), floor),
+                                     self.exponent)
 
-    def log_slope(self, log_y: np.ndarray) -> np.ndarray:
+    def log_slope(self, log_y: ArrayLike) -> ArrayLike:
         """d log ell / d log y: exponent / log y above the clamp, 0 below."""
+        log_y = np.asarray(log_y, dtype=float)
         floor = math.log(self.x_min)
-        return np.where(log_y > floor, self.exponent / np.maximum(log_y, floor), 0.0)
+        return np.where(log_y > floor, self.exponent / np.maximum(log_y, floor), 0.0)[()]
 
     def params(self) -> dict:
         return {"kind": self.kind, "coeff": self.coeff,
                 "exponent": self.exponent, "x_min": self.x_min}
+
+
+# Above this doc_rate * t the closed form e^(z) Q(shape, z) of a
+# non-integer-shape SlowVaryGammaDoc overflows and underflows in turn.
+_GAMMA_DOC_Z_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -304,20 +230,19 @@ class SlowVaryGammaDoc:
     ell(y) = 1 / f(log(y) / channel_rate) with
 
         f(t) = doc_rate^(shape-1) / Gamma(shape)
-               * int_0^inf e^(-z) (z / doc_rate + t)^(shape-1) dz.
+               * int_0^inf e^(-z) (z / doc_rate + t)^(shape-1) dz
+             = e^(doc_rate t) Q(shape, doc_rate t),
 
-    For integer shape the integral is a polynomial in t (shape 2 gives
-    1 + doc_rate * t); otherwise it is evaluated by fixed-order
-    Gauss-Laguerre, which is exact up to machine noise for these smooth
-    integrands. Valid for y >= 1; x_min only records where the
-    slow-variation property has been verified.
+    Q the regularized upper incomplete Gamma, so f(0) = 1 and ell(1) = 1.
+    For integer shape f is a polynomial in t (shape 2 gives
+    1 + doc_rate * t); otherwise the closed form is evaluated through
+    scipy.special.gammaincc up to doc_rate * t = 700, and InvalidParameter
+    is raised beyond. Valid for y >= 1.
     """
 
     doc_rate: float
     shape: float
     channel_rate: float
-    x_min: float = math.e
-    laguerre_order: int = 80
     kind = "gamma_doc_exact"
 
     def __post_init__(self) -> None:
@@ -334,33 +259,30 @@ class SlowVaryGammaDoc:
             acc = np.zeros_like(t)
             for j in range(m + 1 - deriv):
                 c = math.comb(m, j) * math.factorial(j) / lam ** j
-                acc += (c * (m - j) if deriv else c) * t ** (m - j - deriv)
+                acc += (c * (m - j) if deriv else c) * np.power(t, m - j - deriv)
             return lam ** m / gammafn.gamma(k) * acc
-        z, w = _laguerre_rule(self.laguerre_order)
-        tt = np.atleast_1d(t).ravel()
-        vals = (z[None, :] / lam + tt[:, None]) ** (k - 1.0 - deriv)
-        out = lam ** (k - 1.0) / gammafn.gamma(k) * (vals @ w)
+        z = lam * t
+        if np.any(z > _GAMMA_DOC_Z_MAX):
+            raise InvalidParameter(
+                f"gamma_doc_exact ell with shape {k} is evaluated only up to "
+                f"doc_rate * t = {_GAMMA_DOC_Z_MAX}, got {z.max():.6g}")
+        f = np.exp(z) * special.gammaincc(k, z)
         if deriv:
-            out *= k - 1.0
-        return out.reshape(t.shape)
-
-    def value(self, y: ArrayLike) -> ArrayLike:
-        log_y = np.log(np.asarray(y, dtype=float)) if isinstance(y, np.ndarray) \
-            else math.log(max(y, 1.0))
-        return self.value_log(log_y)
+            # d/dt Q(k, lam t) = -lam (lam t)^(k-1) e^(-lam t) / Gamma(k)
+            return lam * f - lam ** k * np.power(t, k - 1.0) / gammafn.gamma(k)
+        return f
 
     def value_log(self, log_y: ArrayLike) -> ArrayLike:
-        out = 1.0 / self._f(np.asarray(log_y, dtype=float) / self.channel_rate)
-        return out if isinstance(log_y, np.ndarray) else float(out)
+        return (1.0 / self._f(np.asarray(log_y, dtype=float) / self.channel_rate))[()]
 
-    def log_slope(self, log_y: np.ndarray) -> np.ndarray:
+    def log_slope(self, log_y: ArrayLike) -> ArrayLike:
         """d log ell / d log y = -f'(t) / (channel_rate f(t)), t = log y / channel_rate."""
-        t = log_y / self.channel_rate
-        return -self._f(t, deriv=True) / (self.channel_rate * self._f(t))
+        t = np.asarray(log_y, dtype=float) / self.channel_rate
+        return (-self._f(t, deriv=True) / (self.channel_rate * self._f(t)))[()]
 
     def params(self) -> dict:
         return {"kind": self.kind, "doc_rate": self.doc_rate, "shape": self.shape,
-                "channel_rate": self.channel_rate, "x_min": self.x_min}
+                "channel_rate": self.channel_rate}
 
 
 SlowVary = Union[SlowVaryOne, SlowVaryLogPower, SlowVaryGammaDoc]
@@ -407,30 +329,22 @@ class DerivedLaw:
     QUANTILE_MAX_ITER = 100
 
     def log_ccdf(self, x: ArrayLike) -> ArrayLike:
-        log_g = self.channel.log_ccdf(np.asarray(x, dtype=float)
-                                      if isinstance(x, np.ndarray) else x)
-        out = np.minimum(_derived_log_raw(self.alpha, self.ell,
-                                          np.asarray(log_g, dtype=float)), 0.0)
-        return out if isinstance(x, np.ndarray) else float(out)
+        return np.minimum(_derived_log_raw(self.alpha, self.ell, self.channel.log_ccdf(x)), 0.0)
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
-        out = np.exp(self.log_ccdf(x))
-        return out if isinstance(x, np.ndarray) else float(out)
+        return np.exp(self.log_ccdf(x))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
         return 1.0 - self.ccdf(x)
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
-        _check_q(q)
-        scalar = not isinstance(q, np.ndarray)
-        qa = np.atleast_1d(np.asarray(q, dtype=float))
-        log_q = np.log(qa)
+        q = _check_q(q)
+        log_q = np.log(q)
         if isinstance(self.ell, SlowVaryOne):
             s = log_q / self.alpha
         else:
-            s = self._solve_log_survival(log_q)
-        out = np.where(qa == 1.0, 0.0, self.channel.quantile_log_ccdf(s))
-        return float(out[0]) if scalar else out
+            s = self._solve_log_survival(log_q.ravel()).reshape(q.shape)
+        return np.where(q == 1.0, 0.0, self.channel.quantile_log_ccdf(s))[()]
 
     def _solve_log_survival(self, log_q: np.ndarray) -> np.ndarray:
         """s <= 0 with h(s) = log_q, by bracketed Newton; 0 where log_q >= h(0).
@@ -475,9 +389,6 @@ class DerivedLaw:
             f"{self.QUANTILE_MAX_ITER} bracketed Newton steps "
             f"(log q from {target.min():.6g})")
 
-    def sample(self, rng) -> float:
-        return float(self.quantile_ccdf(rng.uniform()))
-
     def params(self) -> dict:
         return {"family": self.family, "alpha": self.alpha,
                 "ell": self.ell.params(), "channel": self.channel.params()}
@@ -516,17 +427,15 @@ class BoundedDoc:
         """Truncated survival function, 1 at 0 and 0 at the bound."""
         if math.isinf(self.bound):
             return self.base.ccdf(x)
-        num = np.asarray(self.base.ccdf(x), dtype=float) - self.base.ccdf(self.bound)
+        x = np.asarray(x, dtype=float)
+        num = self.base.ccdf(x) - self.base.ccdf(self.bound)
         out = np.clip(num / self.cdf_at_bound, 0.0, 1.0)
-        out = np.where(np.asarray(x) >= self.bound, 0.0, out)
-        return out if isinstance(x, np.ndarray) else float(out)
+        return np.where(x >= self.bound, 0.0, out)[()]
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
         if math.isinf(self.bound):
             return self.base.cdf(x)
-        out = np.clip(np.asarray(self.base.cdf(x), dtype=float) / self.cdf_at_bound,
-                      0.0, 1.0)
-        return out if isinstance(x, np.ndarray) else float(out)
+        return np.clip(self.base.cdf(x) / self.cdf_at_bound, 0.0, 1.0)
 
     def quantile_from_uniform(self, u: ArrayLike) -> ArrayLike:
         """Inverse-transform map: u in (0, 1] to the truncated law.
@@ -535,15 +444,7 @@ class BoundedDoc:
         survival quantile as quantile_ccdf(1 - u * F(bound)).
         """
         q = 1.0 - np.asarray(u, dtype=float) * self.cdf_at_bound
-        if isinstance(u, np.ndarray):
-            return self.base.quantile_ccdf(np.maximum(q, 5e-324))
-        return float(self.base.quantile_ccdf(max(float(q), 5e-324)))
-
-    def sample(self, rng) -> float:
-        return float(self.quantile_from_uniform(rng.uniform()))
-
-    def sample_vec(self, rng, size: int) -> np.ndarray:
-        return self.quantile_from_uniform(rng.uniforms(size))
+        return self.base.quantile_ccdf(np.maximum(q, 5e-324))
 
     def params(self) -> dict:
         out = dict(self.base.params())

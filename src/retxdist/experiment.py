@@ -475,13 +475,34 @@ def _nan_point(n: int, source: Source) -> CurvePoint:
     return CurvePoint(n, math.nan, math.nan, math.nan, source)
 
 
+def exp_tail_variant(ell: SlowVary) -> str:
+    """Which geometric-tail form applies: the fixed-bound asymptote needs ell == 1."""
+    return "fixed_bound" if isinstance(ell, SlowVaryOne) else "general_slow_variation"
+
+
+def closed_forms(ell: SlowVary) -> dict:
+    """Closed form (params, n) -> value for each approximation source.
+
+    Built on each call, so it holds whatever the asym module's names refer
+    to at that moment.
+    """
+    return {
+        Source.UNIFORM_APPROX: asym.uniform_approx,
+        Source.POWER_LAW: asym.power_law_limit,
+        Source.EXACT_INTEGER: asym.exact_integer_ccdf,
+        Source.EXP_TAIL: (asym.exp_tail_asymptote if exp_tail_variant(ell) == "fixed_bound"
+                          else asym.exp_tail_general),
+        Source.LOG_BODY: asym.log_body,
+    }
+
+
 def _approx_curves(cfg: ExperimentConfig, model: CoupledModel,
                    grid: Sequence[int]) -> dict:
     p = asym.ApproxParams.from_model(model)
-    ell_is_one = isinstance(cfg.ell, SlowVaryOne)
     out: dict = {}
-
-    def curve(source: Source, fn) -> CcdfCurve:
+    for source, fn in closed_forms(cfg.ell).items():
+        if source not in cfg.curves:
+            continue
         pts = []
         for n in grid:
             try:
@@ -490,19 +511,7 @@ def _approx_curves(cfg: ExperimentConfig, model: CoupledModel,
                 pts.append(_nan_point(n, source))
                 continue
             pts.append(CurvePoint(n, v, math.nan, math.nan, source))
-        return CcdfCurve(tuple(pts))
-
-    if Source.UNIFORM_APPROX in cfg.curves:
-        out[Source.UNIFORM_APPROX] = curve(Source.UNIFORM_APPROX, asym.uniform_approx)
-    if Source.POWER_LAW in cfg.curves:
-        out[Source.POWER_LAW] = curve(Source.POWER_LAW, asym.power_law_limit)
-    if Source.EXACT_INTEGER in cfg.curves:
-        out[Source.EXACT_INTEGER] = curve(Source.EXACT_INTEGER, asym.exact_integer_ccdf)
-    if Source.EXP_TAIL in cfg.curves:
-        fn = asym.exp_tail_asymptote if ell_is_one else asym.exp_tail_general
-        out[Source.EXP_TAIL] = curve(Source.EXP_TAIL, fn)
-    if Source.LOG_BODY in cfg.curves:
-        out[Source.LOG_BODY] = curve(Source.LOG_BODY, asym.log_body)
+        out[source] = CcdfCurve(tuple(pts))
     return out
 
 
@@ -679,8 +688,7 @@ def emit_curves(curves: dict, report: ComparisonReport, cfg: ExperimentConfig,
             "case": label,
             "config": cfg.to_dict(),
             "seed": cfg.seed,
-            "exp_tail_variant": ("fixed_bound" if isinstance(cfg.ell, SlowVaryOne)
-                                 else "general_slow_variation"),
+            "exp_tail_variant": exp_tail_variant(cfg.ell),
             "report": report.to_dict(),
         }
         meta_path = base.parent / (stem + ".meta.json")

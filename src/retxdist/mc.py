@@ -142,29 +142,28 @@ class NaiveDraw(NamedTuple):
 
 
 def sample_N(m: CoupledModel, rng: RandomStream) -> int:
-    """One retransmission count via the conditional-geometric identity."""
-    x = m.doc.sample(rng)
-    p = float(m.channel.ccdf(x))
-    if p >= _SURE_SUCCESS:
-        return 1
-    u = rng.uniform()
-    if p <= 0.0:
-        return _N_CAP
-    n = math.ceil(math.log(u) / math.log1p(-p))
-    return max(1, min(n, _N_CAP))
+    """One retransmission count via the conditional-geometric identity.
+
+    A one-sample block of the batched sampler: it draws the document
+    uniform, then the geometric uniform, even when the attempt is sure to
+    succeed.
+    """
+    return int(_batch_counts(m, rng.generator, 1)[0])
 
 
 def sample_N_naive(m: CoupledModel, rng: RandomStream, cap: int) -> NaiveDraw:
     """Literal retry loop: draw availability periods until one clears L_b.
 
-    Returns min(count, cap) with a flag saying whether the cap was hit.
-    Distributionally identical to sample_N; kept for equivalence testing.
+    Draws one uniform for the document, then one per attempt, each pushed
+    through the survival quantile of its law. Returns min(count, cap) with
+    a flag saying whether the cap was hit. Distributionally identical to
+    sample_N; kept for equivalence testing.
     """
     if cap < 1:
         raise InvalidParameter(f"cap must be >= 1, got {cap}")
-    x = m.doc.sample(rng)
+    x = m.doc.quantile_from_uniform(rng.uniform())
     for i in range(1, cap + 1):
-        if m.channel.sample(rng) > x:
+        if m.channel.quantile_ccdf(rng.uniform()) > x:
             return NaiveDraw(i, False)
     return NaiveDraw(cap, True)
 

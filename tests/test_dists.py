@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ks_statistic, ks_statistic_uniform, model_1a, model_3, model_4
+from retxdist import gammafn
 from retxdist.dists import (
     BoundedDoc,
     CoupledModel,
@@ -92,35 +93,19 @@ class TestParametricLaws:
             Exponential(1.0).quantile_ccdf(1.5)
 
     def test_gamma_scalar_and_vector_routes_agree(self):
+        # scipy's incomplete Gamma, which the law uses, against the in-house one
         law = Gamma(2.0, 2.0)
         xs = np.geomspace(0.01, 20.0, 40)
-        vec = np.asarray(law.ccdf(xs))
-        for x, v in zip(xs, vec):
-            assert law.ccdf(float(x)) == pytest.approx(float(v), rel=1e-10, abs=1e-300)
-        # x-space agreement where q is not tiny; below that the scalar
-        # path's absolute-in-q tolerance admits a wider x range
+        for x, v in zip(xs, law.ccdf(xs)):
+            want = gammafn.regularized_upper_gamma(law.rate * float(x), law.shape)
+            assert float(v) == pytest.approx(want, rel=1e-10, abs=1e-300)
         qs = np.geomspace(1e-6, 1.0, 30)
-        vec_q = np.asarray(law.quantile_ccdf(qs))
-        for q, v in zip(qs, vec_q):
-            assert law.quantile_ccdf(float(q)) == pytest.approx(float(v), rel=1e-4)
-            assert float(law.ccdf(law.quantile_ccdf(float(q)))) == pytest.approx(
-                float(q), abs=1e-10)
+        for q, x in zip(qs, law.quantile_ccdf(qs)):
+            assert gammafn.regularized_upper_gamma(law.rate * float(x), law.shape) == \
+                pytest.approx(float(q), abs=1e-10)
 
 
 class TestSampling:
-    def test_deterministic_streams(self):
-        law = Exponential(1.0)
-        a = [law.sample(RandomStream(77)) for _ in range(1)]
-        b = [law.sample(RandomStream(77)) for _ in range(1)]
-        assert a == b
-        r1, r2 = RandomStream(5, 0), RandomStream(5, 0)
-        assert [law.sample(r1) for _ in range(20)] == \
-               [law.sample(r2) for _ in range(20)]
-
-    def test_distinct_streams_differ(self):
-        law = Exponential(1.0)
-        assert law.sample(RandomStream(5, 0)) != law.sample(RandomStream(5, 1))
-
     def test_exponential_mean(self):
         rng = RandomStream(11)
         xs = Exponential(2.0).quantile_ccdf(rng.uniforms(1_000_000))
@@ -160,13 +145,13 @@ class TestBoundedDoc:
     def test_support_bound(self):
         doc = BoundedDoc(Exponential(2.0), 1.0)
         rng = RandomStream(21)
-        xs = doc.sample_vec(rng, 10_000)
+        xs = doc.quantile_from_uniform(rng.uniforms(10_000))
         assert np.all(xs >= 0.0) and np.all(xs <= 1.0)
 
     def test_truncated_tail_probability(self):
         doc = BoundedDoc(Exponential(2.0), 1.0)
         rng = RandomStream(22)
-        xs = doc.sample_vec(rng, 1_000_000)
+        xs = doc.quantile_from_uniform(rng.uniforms(1_000_000))
         emp = float(np.mean(xs > 0.5))
         sigma = math.sqrt(TRUNC_HALF_PROB * (1 - TRUNC_HALF_PROB) / len(xs))
         assert abs(emp - TRUNC_HALF_PROB) <= 3 * sigma
@@ -179,7 +164,7 @@ class TestBoundedDoc:
         assert np.max(np.abs(np.asarray(doc.ccdf(xs))
                              - np.asarray(base.ccdf(xs)))) == 0.0
         rng = RandomStream(33)
-        samples = doc.sample_vec(rng, 100_000)
+        samples = doc.quantile_from_uniform(rng.uniforms(100_000))
         d = ks_statistic(samples, lambda v: np.asarray(base.cdf(v)))
         assert d < 1.95 / math.sqrt(len(samples))
 
@@ -200,7 +185,8 @@ class TestSlowVary:
     def test_slow_variation_profile(self, ell):
         xs = np.geomspace(1e2, 1e12, 11)
         for lam in (2.0, 10.0):
-            devs = [abs(float(ell.value(lam * x)) / float(ell.value(x)) - 1.0)
+            devs = [abs(float(ell.value_log(math.log(lam * x)))
+                        / float(ell.value_log(math.log(x))) - 1.0)
                     for x in xs]
             assert all(b <= a + 1e-15 for a, b in zip(devs, devs[1:]))
             assert devs[-1] < 0.05 if lam == 2.0 else devs[-1] < 0.08
@@ -209,34 +195,53 @@ class TestSlowVary:
         for ell in (SlowVaryOne(), SlowVaryLogPower(1.0, -1.0),
                     SlowVaryGammaDoc(2.0, 2.0, 2.0)):
             ys = np.geomspace(1.0, 1e15, 30)
-            assert np.all(np.asarray(ell.value(ys)) > 0)
+            assert np.all(np.asarray(ell.value_log(np.log(ys))) > 0)
 
     def test_gamma_doc_closed_form_shape_two(self):
         # f(t) = 1 + doc_rate * t when the shape is 2, so
         # ell(y) = 1 / (1 + doc_rate * log(y) / channel_rate)
         ell = SlowVaryGammaDoc(2.0, 2.0, 2.0)
         for y in (1.0, 10.0, 1e4):
-            assert float(ell.value(y)) == pytest.approx(
+            assert float(ell.value_log(math.log(y))) == pytest.approx(
                 1.0 / (1.0 + math.log(y)), rel=1e-12)
 
-    def test_gamma_doc_laguerre_matches_polynomial(self):
-        # non-integer shape goes through Gauss-Laguerre; compare against the
+    def test_gamma_doc_closed_form_matches_polynomial(self):
+        # non-integer shape goes through e^z Q(shape, z); compare against the
         # integer-shape polynomial at a shape where both routes are valid
         poly = SlowVaryGammaDoc(2.0, 3.0, 2.0)
-        quad = SlowVaryGammaDoc(2.0, 3.0 + 1e-13, 2.0)
+        closed = SlowVaryGammaDoc(2.0, 3.0 + 1e-13, 2.0)
         for y in (2.0, 50.0, 1e6):
-            assert float(poly.value(y)) == pytest.approx(float(quad.value(y)),
-                                                         rel=1e-9)
+            assert float(poly.value_log(math.log(y))) == pytest.approx(
+                float(closed.value_log(math.log(y))), rel=1e-9)
+
+    @pytest.mark.parametrize("shape", [0.5, 1.5, 2.5])
+    def test_gamma_doc_non_integer_shape(self, shape):
+        # ell(1) = 1/f(0) = 1 exactly, and f(t) = e^(lam t) Q(shape, lam t)
+        mpmath = pytest.importorskip("mpmath")
+        doc_rate, channel_rate = 2.0, 1.5
+        ell = SlowVaryGammaDoc(doc_rate, shape, channel_rate)
+        assert float(ell.value_log(0.0)) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        for t in (1e-3, 0.01, 0.3, 2.0, 40.0):
+            z = mpmath.mpf(doc_rate * t)
+            want = mpmath.exp(z) * mpmath.gammainc(shape, z, mpmath.inf, regularized=True)
+            got = 1.0 / float(ell.value_log(channel_rate * t))
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    def test_gamma_doc_beyond_closed_form_range(self):
+        ell = SlowVaryGammaDoc(2.0, 0.5, 1.0)
+        with pytest.raises(InvalidParameter):
+            ell.value_log(400.0)          # doc_rate * t = 800
 
     def test_log_power_clamp(self):
         ell = SlowVaryLogPower(1.0, 2.0)
-        assert float(ell.value(1.0)) == float(ell.value(math.e))
+        assert float(ell.value_log(0.0)) == float(ell.value_log(1.0))
 
     def test_serialization_roundtrip(self):
         for ell in (SlowVaryOne(), SlowVaryLogPower(1.5, -1.0),
                     SlowVaryGammaDoc(2.0, 2.0, 2.0)):
             clone = ell_from_dict(ell.params())
-            assert float(clone.value(123.0)) == float(ell.value(123.0))
+            assert float(clone.value_log(math.log(123.0))) == \
+                float(ell.value_log(math.log(123.0)))
 
 
 class TestCoupling:
@@ -306,7 +311,7 @@ class TestDerivedLaw:
         m = derive_doc_law(Exponential(2.0), 1.0,
                            SlowVaryGammaDoc(2.0, 2.0, 2.0), 3.0)
         rng = RandomStream(44)
-        xs = m.doc.sample_vec(rng, 20_000)
+        xs = m.doc.quantile_from_uniform(rng.uniforms(20_000))
         assert np.all((xs >= 0) & (xs <= 3.0))
         # empirical truncated exceedance vs the law itself
         emp = float(np.mean(xs > 1.0))
@@ -353,7 +358,7 @@ class TestDerivedQuantile:
             assert abs(law.ccdf(law.quantile_ccdf(q)) - q) <= 1e-9
 
     def test_truncated_draws_are_uniform_under_cdf(self, derived_model):
-        xs = derived_model.doc.sample_vec(RandomStream(45), 200_000)
+        xs = derived_model.doc.quantile_from_uniform(RandomStream(45).uniforms(200_000))
         d = ks_statistic_uniform(np.asarray(derived_model.doc.cdf(xs)))
         assert d < 1.95 / math.sqrt(len(xs))
 
@@ -389,6 +394,59 @@ class TestDerivedQuantile:
         monkeypatch.setattr(DerivedLaw, "QUANTILE_MAX_ITER", 2)
         with pytest.raises(NonConvergence):
             law.quantile_ccdf(np.array([0.5, 1e-3]))
+
+
+DERIVED_LAWS = [derive_doc_law(channel, alpha, ell, bound).doc.base
+                for channel, bound in DERIVED_CHANNELS for alpha, ell in DERIVED_ELLS]
+
+
+XS = np.geomspace(1e-3, 30.0, 200)
+QS = np.geomspace(1e-300, 1.0, 200)
+LOG_QS = -np.geomspace(1e-12, 700.0, 200)
+US = np.geomspace(1e-12, 1.0, 200)
+LOG_YS = np.geomspace(1e-3, 300.0, 200)
+
+
+def _methods(obj):
+    """(name, method, points) for every evaluation method of a law or ell."""
+    if isinstance(obj, BoundedDoc):
+        xs = XS * (obj.bound / 30.0) if math.isfinite(obj.bound) else XS
+        return [("ccdf", obj.ccdf, xs), ("cdf", obj.cdf, xs),
+                ("quantile_from_uniform", obj.quantile_from_uniform, US)]
+    if hasattr(obj, "value_log"):
+        out = [("value_log", obj.value_log, LOG_YS)]
+        if hasattr(obj, "log_slope"):
+            out.append(("log_slope", obj.log_slope, LOG_YS))
+        return out
+    out = [("ccdf", obj.ccdf, XS), ("log_ccdf", obj.log_ccdf, XS),
+           ("cdf", obj.cdf, XS), ("quantile_ccdf", obj.quantile_ccdf, QS)]
+    if hasattr(obj, "quantile_log_ccdf"):
+        out.append(("quantile_log_ccdf", obj.quantile_log_ccdf, LOG_QS))
+    return out
+
+
+ONE_PATH_OBJECTS = (
+    [Exponential(2.0), Weibull(0.5, 16.0), Weibull(2.0, 2.0), Gamma(2.0, 2.0),
+     Gamma(0.7, 3.2)]
+    + DERIVED_LAWS
+    + [BoundedDoc(Exponential(2.0), 1.0), BoundedDoc(Gamma(2.0, 2.0), 3.0),
+       BoundedDoc(Weibull(0.5, 16.0), math.inf)]
+    + [BoundedDoc(law, bound) for law, bound in zip(DERIVED_LAWS[::4], (3.0, 16.0, 3.0))]
+    + [SlowVaryOne(), SlowVaryLogPower(1.0, 1.0), SlowVaryLogPower(0.5, -0.5, 5.0),
+       SlowVaryGammaDoc(2.0, 2.0, 2.0), SlowVaryGammaDoc(2.0, 2.5, 1.5),
+       SlowVaryGammaDoc(2.0, 0.5, 1.5)])
+
+
+class TestOnePath:
+    """Every law method has one body: a number and a length-1 array agree bit for bit."""
+
+    @pytest.mark.parametrize("obj", ONE_PATH_OBJECTS, ids=lambda o: repr(o)[:60])
+    def test_scalar_matches_length_one_array(self, obj):
+        for name, method, points in _methods(obj):
+            scalar = [method(float(v)) for v in points]
+            assert all(type(out) is np.float64 for out in scalar), name
+            array = np.concatenate([method(np.array([v])) for v in points])
+            np.testing.assert_array_equal(np.array(scalar), array, err_msg=name)
 
 
 class TestSerialization:

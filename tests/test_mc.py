@@ -31,10 +31,6 @@ class _PointMassLaw:
             return np.full_like(q, self.x0)
         return self.x0
 
-    def sample(self, rng):
-        rng.uniform()
-        return self.x0
-
     def params(self):
         return {"family": self.family, "x0": self.x0}
 
