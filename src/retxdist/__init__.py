@@ -38,11 +38,9 @@ from .dists import (
     derive_doc_law,
     validate_coupling,
 )
+from .experiment import Source
 from .mc import (
-    CcdfCurve,
-    CurvePoint,
     RandomStream,
-    Source,
     Tally,
     empirical_ccdf,
     run_tally,
@@ -53,8 +51,8 @@ from .mc import (
 from .oracle import OracleResult, ccdf_exact, ccdf_exact_curve
 
 __all__ = [
-    "ApproxParams", "BoundedDoc", "CcdfCurve", "CoupledModel", "CouplingMode",
-    "CouplingReport", "CurvePoint", "DerivedLaw", "Exponential", "Gamma",
+    "ApproxParams", "BoundedDoc", "CoupledModel", "CouplingMode",
+    "CouplingReport", "DerivedLaw", "Exponential", "Gamma",
     "OracleResult", "PrefactorMode", "RandomStream", "Source", "SlowVaryGammaDoc",
     "SlowVaryLogPower", "SlowVaryOne", "Tally", "TransitionReport", "Weibull",
     "ccdf_exact", "ccdf_exact_curve", "derive_doc_law", "empirical_ccdf",

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 from . import asym, experiment
 from .dists import CouplingMode, SlowVaryOne, validate_coupling
-from .errors import ConfigInvalid, IoFailure, RetxError
-from .experiment import ExperimentConfig, _fmt, load_config, preset, preset_names
-from .mc import Source
+from .errors import ConfigInvalid, IoFailure, QuadratureFailure, RetxError
+from .experiment import (ExperimentConfig, Source, _fmt, load_config, preset,
+                         preset_names)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,12 +90,6 @@ def _case_models(cfg: ExperimentConfig):
                                             cfg.ell, bound)
 
 
-def _case_grid(cfg: ExperimentConfig, model) -> list[int]:
-    n_max = cfg.grid.n_max if cfg.grid.n_max is not None \
-        else experiment._auto_n_max(model)
-    return experiment.log_grid(cfg.grid.n_min, n_max, cfg.grid.points_per_decade)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     result = experiment.run_experiment(cfg)
@@ -137,9 +131,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     print("case,n,value,log_value,est_abs_err,subdivisions")
     for label, model in _case_models(cfg):
-        grid = args.n if args.n else _case_grid(cfg, model)
+        grid = args.n if args.n else experiment.candidate_grid(cfg, model)
         for n in grid:
-            r = ccdf_exact(model, n)
+            try:
+                r = ccdf_exact(model, n)
+            except QuadratureFailure as exc:
+                raise QuadratureFailure(f"case {label}: {exc}") from exc
             print(f"{label},{r.n},{_fmt(r.value)},{_fmt(r.log_value)},"
                   f"{_fmt(r.est_abs_err)},{r.subdivisions}")
     return EXIT_OK
@@ -160,7 +157,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     print("case,n," + ",".join(kinds))
     for label, model in _case_models(cfg):
         p = asym.ApproxParams.from_model(model)
-        grid = args.n if args.n else _case_grid(cfg, model)
+        grid = args.n if args.n else experiment.candidate_grid(cfg, model)
         for n in grid:
             cells = []
             for kind in kinds:

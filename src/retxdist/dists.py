@@ -349,13 +349,16 @@ class DerivedLaw:
     def _solve_log_survival(self, log_q: np.ndarray) -> np.ndarray:
         """s <= 0 with h(s) = log_q, by bracketed Newton; 0 where log_q >= h(0).
 
+        log_q = 0 never enters Newton: h(0) can round above 0 (ell(1) just
+        below 1), and the iterate for q = 1 would then run away.
+
         An iterate is accepted once the step that reached it is within the
         rounding noise of s, widened by 1/h'(s) where h' < 1: where h is
         flat (q near 1 under gamma_doc_exact) s is known no better than that.
         """
         s = np.zeros_like(log_q)
         h_at_zero = -math.log(self.ell.value_log(0.0))
-        idx = np.flatnonzero(log_q < h_at_zero)
+        idx = np.flatnonzero((log_q < h_at_zero) & (log_q < 0.0))
         target = log_q[idx]
         cur = target / self.alpha
         step = np.full_like(cur, np.inf)

@@ -1,10 +1,10 @@
 """Config-driven experiment runner and curve emission.
 
 An experiment is one model family evaluated over one or more bounds (and
-optionally several channel/document variants), producing per-case CCDF
-curves from the requested sources over a shared grid, a comparison report
-against the exact quadrature oracle, and CSV/JSON files with a JSON
-metadata sidecar.
+optionally several channel/document variants). Each case yields one table
+over its grid, one float array per column of the requested sources, a
+comparison report against the exact quadrature oracle, and a CSV/JSON
+file of that table with a JSON metadata sidecar.
 
 The CSV column set is a frozen compatibility surface:
 
@@ -22,8 +22,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from . import asym
 from .dists import (
@@ -48,8 +51,9 @@ from .errors import (
     QuadratureFailure,
     UnknownPreset,
 )
-from .mc import CcdfCurve, CurvePoint, Source, empirical_ccdf, run_tally
-from .oracle import OracleResult, ccdf_exact
+from .mc import empirical_ccdf, run_tally
+# ccdf_exact is not called here; perfbench/spans.py patches it by name.
+from .oracle import OracleResult, ccdf_exact, ccdf_exact_curve
 
 ENV_OUTDIR = "RETXDIST_OUTDIR"
 
@@ -57,14 +61,22 @@ CSV_COLUMNS = ("n", "mc_ccdf", "mc_ci_lo", "mc_ci_hi", "oracle",
                "uniform_approx", "power_law", "exp_tail", "exact_integer",
                "log_body")
 
-_SOURCE_COLUMN = {
-    Source.ORACLE: "oracle",
-    Source.UNIFORM_APPROX: "uniform_approx",
-    Source.POWER_LAW: "power_law",
-    Source.EXP_TAIL: "exp_tail",
-    Source.EXACT_INTEGER: "exact_integer",
-    Source.LOG_BODY: "log_body",
-}
+
+class Source(Enum):
+    """A curve a config can request.
+
+    Each value other than "mc" is its CSV column; "mc" fills mc_ccdf,
+    mc_ci_lo and mc_ci_hi.
+    """
+
+    MONTE_CARLO = "mc"
+    ORACLE = "oracle"
+    UNIFORM_APPROX = "uniform_approx"
+    POWER_LAW = "power_law"
+    EXP_TAIL = "exp_tail"
+    EXACT_INTEGER = "exact_integer"
+    LOG_BODY = "log_body"
+
 
 DEFAULT_SAMPLES = 10_000_000
 DEFAULT_CURVES = frozenset({Source.MONTE_CARLO, Source.ORACLE,
@@ -403,6 +415,12 @@ def _auto_n_max(model: CoupledModel) -> int:
     return max(10, math.ceil(10.0 * n_fp))
 
 
+def candidate_grid(cfg: ExperimentConfig, model: CoupledModel) -> list[int]:
+    """A case's grid before the auto-grid oracle trim; see GridSpec."""
+    n_max = _auto_n_max(model) if cfg.grid.n_max is None else cfg.grid.n_max
+    return log_grid(cfg.grid.n_min, n_max, cfg.grid.points_per_decade)
+
+
 # ---------------------------------------------------------------------------
 # Reports and the runner
 # ---------------------------------------------------------------------------
@@ -440,11 +458,19 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class CaseResult:
+    """One case: its grid and the table written for it.
+
+    table maps each computed CSV column (every one but n) to a float array
+    over grid; NaN marks a point a closed form does not define there. The
+    log_body column holds the log-scale approximation itself, every other
+    column a probability.
+    """
+
     label: str
     bound: float
     model: CoupledModel
     grid: tuple[int, ...]
-    curves: dict
+    table: dict
     oracle: tuple[OracleResult, ...]
     report: ComparisonReport
     files: tuple[Path, ...]
@@ -456,10 +482,6 @@ class RunResult:
     cases: tuple[CaseResult, ...]
 
     @property
-    def curves(self) -> list[CcdfCurve]:
-        return [c for case in self.cases for c in case.curves.values()]
-
-    @property
     def reports(self) -> list[ComparisonReport]:
         return [case.report for case in self.cases]
 
@@ -469,10 +491,6 @@ def build_model(channel: Law, doc_base: Optional[Law], alpha: float,
     if doc_base is None:
         return derive_doc_law(channel, alpha, ell, bound)
     return CoupledModel.parametric(channel, doc_base, alpha, ell, bound)
-
-
-def _nan_point(n: int, source: Source) -> CurvePoint:
-    return CurvePoint(n, math.nan, math.nan, math.nan, source)
 
 
 def exp_tail_variant(ell: SlowVary) -> str:
@@ -496,23 +514,19 @@ def closed_forms(ell: SlowVary) -> dict:
     }
 
 
-def _approx_curves(cfg: ExperimentConfig, model: CoupledModel,
-                   grid: Sequence[int]) -> dict:
+def _closed_form_columns(cfg: ExperimentConfig, model: CoupledModel,
+                         grid: Sequence[int]) -> dict:
     p = asym.ApproxParams.from_model(model)
-    out: dict = {}
-    for source, fn in closed_forms(cfg.ell).items():
-        if source not in cfg.curves:
-            continue
-        pts = []
-        for n in grid:
-            try:
-                v = fn(p, n)
-            except (InvalidParameter, NotInteger, EllNotOne):
-                pts.append(_nan_point(n, source))
-                continue
-            pts.append(CurvePoint(n, v, math.nan, math.nan, source))
-        out[source] = CcdfCurve(tuple(pts))
-    return out
+
+    def value(fn, n: int) -> float:
+        try:
+            return fn(p, n)
+        except (InvalidParameter, NotInteger, EllNotOne):
+            return math.nan
+
+    return {source.value: np.array([value(fn, n) for n in grid], dtype=float)
+            for source, fn in closed_forms(cfg.ell).items()
+            if source in cfg.curves}
 
 
 def _run_case(cfg: ExperimentConfig, label: str, channel: Law,
@@ -528,78 +542,57 @@ def _run_case(cfg: ExperimentConfig, label: str, channel: Law,
                 f"case {label}: hazard-proportionality residual {residual:.4g} "
                 f"exceeds {COUPLING_TOLERANCE}")
 
-    auto = cfg.grid.n_max is None
-    n_max = _auto_n_max(model) if auto else cfg.grid.n_max
-    candidate = log_grid(cfg.grid.n_min, n_max, cfg.grid.points_per_decade)
-
     # The oracle is evaluated regardless of the requested curves: it
     # drives auto-grid trimming and the comparison report.
-    floor = MIN_EXPECTED_TAIL_HITS / cfg.samples
-    oracle_results: list[OracleResult] = []
-    grid: list[int] = []
-    prev_log = math.inf
-    for n in candidate:
-        res = ccdf_exact(model, n)
-        if res.log_value > prev_log + 1e-9:
-            raise QuadratureFailure(f"oracle curve not monotone at n={n}")
-        prev_log = res.log_value
-        if auto and res.value < floor and grid:
-            break
-        oracle_results.append(res)
-        grid.append(n)
+    floor = MIN_EXPECTED_TAIL_HITS / cfg.samples if cfg.grid.n_max is None else None
+    try:
+        oracle_results = ccdf_exact_curve(model, candidate_grid(cfg, model),
+                                          stop_below=floor)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(f"case {label}: {exc}") from exc
+    grid = [r.n for r in oracle_results]
 
-    curves: dict = {}
-    if Source.ORACLE in cfg.curves:
-        curves[Source.ORACLE] = CcdfCurve(tuple(
-            CurvePoint(r.n, r.value, math.nan, math.nan, Source.ORACLE)
-            for r in oracle_results))
+    table: dict = {}
     if Source.MONTE_CARLO in cfg.curves:
         tally = run_tally(model, grid, cfg.samples, cfg.seed, cfg.workers)
-        curves[Source.MONTE_CARLO] = empirical_ccdf(tally, cfg.confidence)
-    curves.update(_approx_curves(cfg, model, grid))
+        table["mc_ccdf"], table["mc_ci_lo"], table["mc_ci_hi"] = \
+            empirical_ccdf(tally, cfg.confidence)
+    if Source.ORACLE in cfg.curves:
+        table["oracle"] = np.array([r.value for r in oracle_results])
+    table.update(_closed_form_columns(cfg, model, grid))
 
-    report = _compare(cfg, label, bound, grid, oracle_results, curves,
-                      model, coupling_residual)
-    files = tuple(emit_curves(curves, report, cfg, label, grid)) \
+    report = _compare(cfg, label, bound, oracle_results, table, model,
+                      coupling_residual)
+    files = tuple(emit_curves(table, report, cfg, label, grid)) \
         if cfg.output_prefix is not None else ()
-    return CaseResult(label, bound, model, tuple(grid), curves,
+    return CaseResult(label, bound, model, tuple(grid), table,
                       tuple(oracle_results), report, files)
 
 
 def _compare(cfg: ExperimentConfig, label: str, bound: float,
-             grid: Sequence[int], oracle_results: Sequence[OracleResult],
-             curves: dict, model: CoupledModel,
+             oracle_results: Sequence[OracleResult], table: dict,
+             model: CoupledModel,
              coupling_residual: Optional[float]) -> ComparisonReport:
-    oracle_by_n = {r.n: r for r in oracle_results}
+    value = np.array([r.value for r in oracle_results])
+    log_value = np.array([r.log_value for r in oracle_results])
     max_err: dict = {}
-    for source, curve in curves.items():
-        if source in (Source.MONTE_CARLO, Source.ORACLE):
+    for col, v in table.items():
+        if col == "oracle" or col.startswith("mc_"):
             continue
-        worst = None
-        for pt in curve.points:
-            res = oracle_by_n.get(pt.n)
-            if res is None or res.value < cfg.oracle_threshold or math.isnan(pt.value):
-                continue
-            if source is Source.LOG_BODY:
-                err = abs(pt.value / res.log_value - 1.0)
-            else:
-                err = abs(pt.value - res.value) / res.value
-            worst = err if worst is None else max(worst, err)
-        max_err[source.value] = worst
+        use = (value >= cfg.oracle_threshold) & ~np.isnan(v)
+        if col == Source.LOG_BODY.value:
+            err = np.abs(v[use] / log_value[use] - 1.0)
+        else:
+            err = np.abs(v[use] - value[use]) / value[use]
+        max_err[col] = float(err.max()) if err.size else None
 
     coverage = None
     npoints = 0
-    mc = curves.get(Source.MONTE_CARLO)
-    if mc is not None:
-        hits = 0
-        for pt in mc.points:
-            res = oracle_by_n.get(pt.n)
-            if res is None:
-                continue
-            npoints += 1
-            if pt.ci_lo <= res.value <= pt.ci_hi:
-                hits += 1
-        coverage = hits / npoints if npoints else None
+    if "mc_ccdf" in table:
+        npoints = len(value)
+        hits = int(np.count_nonzero((table["mc_ci_lo"] <= value)
+                                    & (value <= table["mc_ci_hi"])))
+        coverage = hits / npoints
 
     try:
         transition = asym.transition_point(asym.ApproxParams.from_model(model))
@@ -627,29 +620,9 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _rows(curves: dict, grid: Sequence[int]) -> list[dict]:
-    by_source = {}
-    for source, curve in curves.items():
-        by_source[source] = {pt.n: pt for pt in curve.points}
-    rows = []
-    for n in grid:
-        row: dict = {c: None for c in CSV_COLUMNS}
-        row["n"] = int(n)
-        mc_pt = by_source.get(Source.MONTE_CARLO, {}).get(n)
-        if mc_pt is not None:
-            row["mc_ccdf"], row["mc_ci_lo"], row["mc_ci_hi"] = \
-                mc_pt.value, mc_pt.ci_lo, mc_pt.ci_hi
-        for source, col in _SOURCE_COLUMN.items():
-            pt = by_source.get(source, {}).get(n)
-            if pt is not None and not math.isnan(pt.value):
-                row[col] = pt.value
-        rows.append(row)
-    return rows
-
-
-def emit_curves(curves: dict, report: ComparisonReport, cfg: ExperimentConfig,
+def emit_curves(table: dict, report: ComparisonReport, cfg: ExperimentConfig,
                 label: str, grid: Sequence[int]) -> list[Path]:
-    """Write the case data file plus its metadata sidecar.
+    """Write the case table as a data file plus its metadata sidecar.
 
     Returns the created paths. Output location comes from the config
     prefix, resolved against RETXDIST_OUTDIR when relative.
@@ -660,7 +633,9 @@ def emit_curves(curves: dict, report: ComparisonReport, cfg: ExperimentConfig,
         prefix = Path(outdir) / prefix
     stem = f"{prefix.name}_{label}" if label else prefix.name
     base = prefix.parent / stem
-    rows = _rows(curves, grid)
+    columns = [[None if math.isnan(v) else v for v in table[c].tolist()]
+               if c in table else [None] * len(grid) for c in CSV_COLUMNS[1:]]
+    rows = [[int(n), *cells] for n, *cells in zip(grid, *columns)]
     try:
         base.parent.mkdir(parents=True, exist_ok=True)
         # string concatenation, not with_suffix: labels may contain dots
@@ -668,18 +643,11 @@ def emit_curves(curves: dict, report: ComparisonReport, cfg: ExperimentConfig,
             data_path = base.parent / (stem + ".csv")
             lines = [",".join(CSV_COLUMNS)]
             for row in rows:
-                lines.append(",".join(
-                    str(row["n"]) if c == "n" else _fmt(row[c])
-                    for c in CSV_COLUMNS))
+                lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:]]))
             data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         else:
             data_path = base.parent / (stem + ".json")
-            payload = {"columns": list(CSV_COLUMNS),
-                       "rows": [[row["n"]] + [
-                           None if row[c] is None or (isinstance(row[c], float)
-                                                      and math.isnan(row[c]))
-                           else row[c]
-                           for c in CSV_COLUMNS[1:]] for row in rows]}
+            payload = {"columns": list(CSV_COLUMNS), "rows": rows}
             data_path.write_text(json.dumps(payload, sort_keys=True, indent=1)
                                  + "\n", encoding="utf-8")
         from . import __version__

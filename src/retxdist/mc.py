@@ -12,6 +12,9 @@ sample_N_naive purely so the two can be tested against each other.
 Streams are Philox counter-based: (seed, stream_id) is the key, so
 distinct stream ids give independent sequences and the same pair always
 reproduces bit-identical output regardless of scheduling.
+
+A run ends in a Tally of exceedance counts over a grid; empirical_ccdf
+turns it into the three Monte Carlo columns of a case table.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,51 +66,6 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-class Source(Enum):
-    """Provenance tag for a CCDF curve."""
-
-    MONTE_CARLO = "mc"
-    ORACLE = "oracle"
-    UNIFORM_APPROX = "uniform_approx"
-    POWER_LAW = "power_law"
-    EXP_TAIL = "exp_tail"
-    EXACT_INTEGER = "exact_integer"
-    LOG_BODY = "log_body"
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One curve sample; ci bounds are NaN except for Monte Carlo points.
-
-    For the LOG_BODY source `value` is the log-scale approximation itself
-    (a real number <= 0), not a probability; every other source stores a
-    probability.
-    """
-
-    n: int
-    value: float
-    ci_lo: float
-    ci_hi: float
-    source: Source
-
-
-@dataclass(frozen=True)
-class CcdfCurve:
-    points: tuple[CurvePoint, ...]
-
-    @property
-    def source(self) -> Source:
-        return self.points[0].source
-
-    @property
-    def grid(self) -> tuple[int, ...]:
-        return tuple(p.n for p in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(p.value for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -267,10 +224,12 @@ def wilson_interval(successes: int, total: int, confidence: float) -> tuple[floa
     return lo, hi
 
 
-def empirical_ccdf(t: Tally, confidence: float = 0.95) -> CcdfCurve:
-    """Empirical exceedance curve with Wilson intervals."""
-    points = []
-    for n, k in zip(t.grid, t.exceed_counts):
-        lo, hi = wilson_interval(k, t.total, confidence)
-        points.append(CurvePoint(n, k / t.total, lo, hi, Source.MONTE_CARLO))
-    return CcdfCurve(tuple(points))
+def empirical_ccdf(t: Tally, confidence: float = 0.95
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exceedance frequencies over t.grid with Wilson intervals.
+
+    Returns three float arrays: value, ci_lo and ci_hi.
+    """
+    lo, hi = np.array([wilson_interval(k, t.total, confidence)
+                       for k in t.exceed_counts], dtype=float).reshape(-1, 2).T
+    return np.asarray(t.exceed_counts, dtype=float) / t.total, lo, hi

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -92,11 +92,14 @@ def ccdf_exact(m: CoupledModel, n: int, *,
     def integrand(v: np.ndarray) -> np.ndarray:
         return np.exp(np.minimum(n * c(v) - log_peak, 0.0))
 
-    quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=rel_tol,
-                              max_panels=max_panels,
-                              initial_edges=_SEED_EDGES)
+    try:
+        quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=rel_tol,
+                                  max_panels=max_panels,
+                                  initial_edges=_SEED_EDGES)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(f"n={n}: {exc}") from exc
     if quad.value <= 0.0:
-        raise QuadratureFailure(f"nonpositive integral {quad.value} at n={n}")
+        raise QuadratureFailure(f"n={n}: nonpositive integral {quad.value}")
     log_value = log_peak + math.log(quad.value)
     value = math.exp(log_value) if log_value > -745.0 else 0.0
     est_abs_err = value * (quad.abs_err / quad.value)
@@ -105,12 +108,15 @@ def ccdf_exact(m: CoupledModel, n: int, *,
 
 
 def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
+                     stop_below: Optional[float] = None,
                      rel_tol: float = REL_TOL,
                      max_panels: int = MAX_PANELS) -> list[OracleResult]:
-    """Exact CCDF over a strictly increasing grid of counts.
+    """Exact CCDF over a strictly increasing grid of counts, in grid order.
 
     Enforces that the computed values are nonincreasing in n; a violation
-    means the quadrature tolerance was not actually met.
+    means the quadrature tolerance was not actually met. With stop_below,
+    the curve ends before the first value under it once one point is
+    kept, and the rest of the grid is never evaluated.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -124,5 +130,7 @@ def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
                 f"oracle curve not monotone at n={n}: "
                 f"log {res.log_value} after {prev_log}")
         prev_log = res.log_value
+        if stop_below is not None and res.value < stop_below and out:
+            break
         out.append(res)
     return out

@@ -388,6 +388,15 @@ class TestDerivedQuantile:
         assert np.all(law.quantile_ccdf(np.array([0.6, 0.9, 1.0])) == 0.0)
         assert law.quantile_ccdf(0.25) > 0.0
 
+    def test_quantile_of_one_skips_newton(self):
+        # the shape-2 polynomial gives ell(1) = 1 - 2.2e-16, so h(0) > 0 = log q
+        law = derive_doc_law(Exponential(2.0), 1.0,
+                             SlowVaryGammaDoc(2.0, 2.0, 2.0), 2.0).doc.base
+        assert -math.log(law.ell.value_log(0.0)) > 0.0
+        with np.errstate(all="raise"):
+            assert law.quantile_ccdf(1.0) == 0.0
+            assert np.all(law.quantile_ccdf(np.array([1.0, 0.5]))[:1] == 0.0)
+
     def test_iteration_cap_raises(self, monkeypatch):
         law = derive_doc_law(Exponential(2.0), 1.0,
                              SlowVaryGammaDoc(2.0, 2.0, 2.0), 3.0).doc.base

@@ -1,15 +1,17 @@
 """Experiment runner, emission, and CLI checks."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from retxdist import cli, experiment as E
+from retxdist import cli, experiment as E, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf
 from retxdist.dists import SlowVaryGammaDoc
-from retxdist.errors import ConfigInvalid, CouplingInvalid, UnknownPreset
-from retxdist.mc import Source
+from retxdist.errors import (ConfigInvalid, CouplingInvalid, QuadratureFailure,
+                             UnknownPreset)
 
 
 def minimal_config(**overrides):
@@ -166,13 +168,8 @@ class TestRunAndEmit:
                         "exact_integer", "exp_tail", "log_body"]))
             case = E.run_experiment(cfg).cases[0]
             data = E.read_curve_file(case.files[0])
-            mc_curve = case.curves[Source.MONTE_CARLO]
-            for i, pt in enumerate(mc_curve.points):
-                assert data["mc_ccdf"][i] == pt.value
-                assert data["mc_ci_lo"][i] == pt.ci_lo
-            oracle_curve = case.curves[Source.ORACLE]
-            for i, pt in enumerate(oracle_curve.points):
-                assert data["oracle"][i] == pt.value
+            for col in ("mc_ccdf", "mc_ci_lo", "oracle"):
+                assert data[col] == case.table[col].tolist()
             # log body undefined at n = 1, written as an empty field
             assert data["log_body"][0] is None
             assert data["log_body"][5] is not None
@@ -262,6 +259,58 @@ class TestRunAndEmit:
             assert clone.curves == cfg.curves
             assert clone.ell.params() == cfg.ell.params()
             assert [c[0] for c in clone.cases()] == [c[0] for c in cfg.cases()]
+
+
+def _spent(*args, **kwargs):
+    raise QuadratureFailure("budget spent")
+
+
+class TestOracleFailure:
+    """A failing oracle call names its case and n (stub integrator)."""
+
+    def test_run_names_case_and_n(self, monkeypatch):
+        monkeypatch.setattr(oracle, "integrate_adaptive", _spent)
+        cfg = E.parse_config(minimal_config(curves=["oracle"]))
+        with pytest.raises(QuadratureFailure, match=r"^case b1: n=1: budget spent$"):
+            E.run_experiment(cfg)
+
+    def test_oracle_verb_names_case_and_n(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "integrate_adaptive", _spent)
+        assert cli.main(["oracle", "--preset", "example1a", "--n", "74989"]) == 3
+        assert capsys.readouterr().err == "error: case b1: n=74989: budget spent\n"
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+class TestGoldenOutput:
+    """The frozen column surface, byte for byte.
+
+    tests/data/golden holds the data files and sidecar reports of
+    `retxdist run --config tests/data/golden/config.json` in both formats
+    (all seven curves, n = 1..30, 2,000 samples, one worker). The MC
+    columns pin numpy's Philox stream and the oracle column the quadrature,
+    so a change that moves either must regenerate these files on purpose.
+    """
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_data_and_report_match(self, tmp_path, fmt):
+        cfg = dataclasses.replace(
+            E.load_config(GOLDEN / "config.json"), fmt=fmt,
+            output_prefix=str(tmp_path / "golden"))
+        reports = json.loads((GOLDEN / "reports.json").read_text())
+        result = E.run_experiment(cfg)
+        assert [case.label for case in result.cases] == sorted(reports)
+        for case in result.cases:
+            data_path, meta_path = case.files
+            assert data_path.read_bytes() == (GOLDEN / data_path.name).read_bytes()
+            data = E.read_curve_file(data_path)
+            assert data["n"] == list(case.grid)
+            for col in E.CSV_COLUMNS[1:]:
+                assert data[col] == [None if math.isnan(v) else v
+                                     for v in case.table[col].tolist()]
+            meta = json.loads(meta_path.read_text())
+            assert meta["report"] == reports[case.label]
 
 
 class TestCli:

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from conftest import model_1a, model_3, model_4
+from retxdist import oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf, log_exact_integer_ccdf
 from retxdist.errors import InvalidParameter, QuadratureFailure
 from retxdist.mc import empirical_ccdf, run_tally
@@ -107,6 +108,23 @@ class TestCurves:
         with pytest.raises(InvalidParameter):
             ccdf_exact_curve(exp_pair_b1, [1, 1, 2])
 
+    def test_stop_below_evaluates_one_point_past(self, exp_pair_b1, monkeypatch):
+        seen = []
+
+        def counted(m, n, **kw):
+            seen.append(n)
+            return ccdf_exact(m, n, **kw)
+
+        monkeypatch.setattr(oracle, "ccdf_exact", counted)
+        out = ccdf_exact_curve(exp_pair_b1, range(1, 10_000), stop_below=1e-3)
+        assert out[-1].value >= 1e-3
+        assert seen == [r.n for r in out] + [out[-1].n + 1]
+        assert ccdf_exact(exp_pair_b1, out[-1].n + 1).value < 1e-3
+
+    def test_stop_below_keeps_the_first_point(self, exp_pair_b1):
+        out = ccdf_exact_curve(exp_pair_b1, [5, 6, 7], stop_below=2.0)
+        assert [r.n for r in out] == [5]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("model_fn,bound", [(model_1a, 1.0), (model_4, 2.0)])
@@ -125,14 +143,22 @@ class TestInvariants:
         samples = 1_000_000
         grid = sorted(set(int(round(10 ** (k / 24))) for k in range(0, 40)))
         tally = run_tally(exp_pair_b2, grid, samples, seed=909)
-        curve = empirical_ccdf(tally)
-        for pt in curve.points:
-            exact = ccdf_exact(exp_pair_b2, pt.n).value
+        value, _, _ = empirical_ccdf(tally)
+        for n, v in zip(grid, value):
+            exact = ccdf_exact(exp_pair_b2, n).value
             if exact < 10 / samples:
                 continue
             sigma = math.sqrt(exact * (1 - exact) / samples)
-            assert abs(pt.value - exact) <= 4 * sigma
+            assert abs(v - exact) <= 4 * sigma
 
     def test_failure_on_tiny_budget(self, exp_pair_b1):
         with pytest.raises(QuadratureFailure):
             ccdf_exact(exp_pair_b1, 100_000, max_panels=9)
+
+    def test_failure_names_n(self, exp_pair_b1, monkeypatch):
+        def spent(*args, **kwargs):
+            raise QuadratureFailure("budget spent")
+
+        monkeypatch.setattr(oracle, "integrate_adaptive", spent)
+        with pytest.raises(QuadratureFailure, match=r"^n=74989: budget spent$"):
+            ccdf_exact(exp_pair_b1, 74989)
