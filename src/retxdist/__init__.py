@@ -9,6 +9,13 @@ and cross-validates them.
 
 __version__ = "0.1.0"
 
+import logging
+
+# Silent unless the application configures logging; the package logs
+# DEBUG lines only (for example when Monte Carlo falls back from the
+# gamma quantile table to the exact quantile).
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .asym import (
     ApproxParams,
     PrefactorMode,

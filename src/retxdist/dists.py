@@ -15,7 +15,8 @@ from the channel law through the relation).
 Every law method takes an array (or a number) and returns the numpy
 result of one vectorized body; a 0-d input comes back as an np.float64.
 The gamma family evaluates through scipy.special, cross-checked against
-the in-house incomplete Gamma in the tests.
+the in-house incomplete Gamma in the tests. sampling_quantile gives Monte
+Carlo a certified quantile table for bounded gamma documents.
 
 All classes are immutable after construction and safe to share across
 workers.
@@ -23,10 +24,11 @@ workers.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import special
@@ -40,6 +42,8 @@ from .errors import (
 )
 
 ArrayLike = Union[float, np.ndarray]
+
+_log = logging.getLogger(__name__)
 
 # Grid sizes fixed by the model-validation contracts.
 COUPLING_GRID_POINTS = 64
@@ -162,6 +166,160 @@ def _check_q(q: ArrayLike) -> np.ndarray:
         raise InvalidParameter(
             f"quantile argument must lie in (0, 1], got {q[~ok].flat[0]}")
     return q
+
+
+# Certified quantile table of a bounded gamma document. Each part starts
+# with _GAMMA_TABLE_PANELS panels and doubles them until every panel
+# midpoint is within _GAMMA_TABLE_TOL relative of the reference inversion;
+# a part that still misses at _GAMMA_TABLE_MAX_PANELS is not used.
+_GAMMA_TABLE_PANELS = 64
+_GAMMA_TABLE_MAX_PANELS = 1 << 14
+_GAMMA_TABLE_TOL = 1e-12
+# Values per evaluation block; keeps the temporaries in cache.
+_GAMMA_TABLE_BLOCK = 1 << 13
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], ..., b[-1], a[-1] for len(a) = len(b) + 1."""
+    out = np.empty(a.size + b.size)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _certified_part(x_of_t, slope, t0: float, t1: float
+                    ) -> tuple[np.ndarray, int, float]:
+    """Cubic-Hermite panels of x(t) on [t0, t1]: (coefficients, panels, error).
+
+    Row i holds c0..c3 of x = c0 + s (c1 + s (c2 + s c3)), s in [0, 1] across
+    panel i. The error is the largest relative midpoint miss; the midpoints
+    of one round become nodes of the next, so every reference inversion is
+    made once.
+    """
+    n = _GAMMA_TABLE_PANELS
+    t = np.linspace(t0, t1, n + 1)
+    x = x_of_t(t)
+    while True:
+        d = slope(t, x) * ((t1 - t0) / n)
+        dx = np.diff(x)
+        c = np.stack([x[:-1], d[:-1], 3.0 * dx - 2.0 * d[:-1] - d[1:],
+                      d[:-1] + d[1:] - 2.0 * dx], axis=1)
+        t_mid = 0.5 * (t[:-1] + t[1:])
+        x_mid = x_of_t(t_mid)
+        approx = c[:, 0] + 0.5 * (c[:, 1] + 0.5 * (c[:, 2] + 0.5 * c[:, 3]))
+        err = float(np.max(np.abs(approx - x_mid) / x_mid))
+        if err <= _GAMMA_TABLE_TOL or n >= _GAMMA_TABLE_MAX_PANELS:
+            return c, n, err
+        t, x, n = _interleave(t, t_mid), _interleave(x, x_mid), 2 * n
+
+
+class _GammaQuantileTable:
+    """Quantile of a gamma law truncated to [0, bound], as a certified table.
+
+    A uniform u in (0, 1] maps to the lower-tail probability p = u F(b) and
+    the upper-tail probability q = (1 - u) F(b) + Fbar(b), which is 1 - p
+    without its cancellation. Two uniform cubic-Hermite tables cover the
+    range: x over t = p^(1/shape) for p <= 1/2, where x is smooth in t as
+    p -> 0, and x over t = -log q above, smooth up to the bound. Each node
+    holds x from scipy's gammaincinv (lower part) or gammainccinv (upper
+    part) and the exact slope dx/dt from the gamma density. build returns
+    None unless every panel midpoint of both parts is within
+    _GAMMA_TABLE_TOL relative of the same reference.
+
+    Calls take a 1-d array of uniforms and evaluate it in blocks.
+    """
+
+    def __init__(self, shape: float, cdf_at_bound: float, ccdf_at_bound: float,
+                 t_lo: float, t_hi: float, parts: list) -> None:
+        self.cdf_at_bound = cdf_at_bound
+        self.ccdf_at_bound = ccdf_at_bound
+        self.inv_shape = 1.0 / shape
+        self.panels = tuple(n for _, n, _ in parts)
+        self.max_error = max(err for _, _, err in parts)
+        self.coeffs = np.concatenate([c for c, _, _ in parts])
+        self.last = len(self.coeffs) - 1
+        # Fractional panel index: t * lo_scale in the lower part, and
+        # -log(q) * hi_scale + hi_offset = n_lo + (t - log 2) * hi_scale above.
+        self.lo_scale = self.panels[0] / t_lo
+        self.hi_scale = self.hi_offset = 0.0
+        if len(parts) > 1:
+            self.hi_scale = self.panels[1] / (t_hi - math.log(2.0))
+            self.hi_offset = self.panels[0] - math.log(2.0) * self.hi_scale
+
+    @classmethod
+    def build(cls, law: Gamma, bound: float,
+              cdf_at_bound: float) -> Optional["_GammaQuantileTable"]:
+        """The certified table, or None (logged at DEBUG) where there is none."""
+        k, rate = law.shape, law.rate
+        ccdf_at_bound = float(law.ccdf(bound))
+        log_gamma_k = float(special.gammaln(k))
+        log_gamma_k1 = float(special.gammaln(k + 1.0))
+
+        def lower_x(t):
+            return special.gammaincinv(k, np.power(t, k)) / rate
+
+        def lower_slope(t, x):
+            # dx/dt = k t^(k-1) / f(x) = Gamma(k+1) e^y (t/y)^(k-1) / rate, y = rate x
+            y = rate * x
+            d = np.exp(log_gamma_k1 + y + (k - 1.0) * np.log(t / y)) / rate
+            return np.where(t == 0.0, math.exp(log_gamma_k1 / k) / rate, d)
+
+        def upper_x(t):
+            return special.gammainccinv(k, np.exp(-t)) / rate
+
+        def upper_slope(t, x):
+            # dx/dt = q / f(x) = Gamma(k) e^(y - t) y^(1-k) / rate
+            y = rate * x
+            return np.exp(log_gamma_k + y - t - (k - 1.0) * np.log(y)) / rate
+
+        if not ccdf_at_bound > 0.0:
+            _log.debug("gamma quantile table: bound %g, 0 panels: Fbar(bound) = 0 "
+                       "leaves -log q unbounded; using the exact quantile", bound)
+            return None
+        t_lo = min(cdf_at_bound, 0.5) ** (1.0 / k)
+        t_hi = -math.log(ccdf_at_bound)
+        with np.errstate(all="ignore"):
+            parts = [_certified_part(lower_x, lower_slope, 0.0, t_lo)]
+            if cdf_at_bound > 0.5:
+                parts.append(_certified_part(upper_x, upper_slope, math.log(2.0), t_hi))
+        table = cls(k, cdf_at_bound, ccdf_at_bound, t_lo, t_hi, parts)
+        if not table.max_error <= _GAMMA_TABLE_TOL:
+            _log.debug("gamma quantile table: bound %g, %s panels, midpoint error "
+                       "%.3g above %g; using the exact quantile",
+                       bound, "+".join(map(str, table.panels)), table.max_error,
+                       _GAMMA_TABLE_TOL)
+            return None
+        return table
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty(len(u))
+        for lo in range(0, len(u), _GAMMA_TABLE_BLOCK):
+            out[lo:lo + _GAMMA_TABLE_BLOCK] = self._block(u[lo:lo + _GAMMA_TABLE_BLOCK])
+        return out
+
+    def _block(self, u: np.ndarray) -> np.ndarray:
+        p = u * self.cdf_at_bound
+        upper = p > 0.5
+        pos = np.power(p, self.inv_shape, out=p)
+        pos *= self.lo_scale
+        q = 1.0 - u
+        q *= self.cdf_at_bound
+        q += self.ccdf_at_bound
+        np.log(q, out=q)
+        q *= -self.hi_scale
+        q += self.hi_offset
+        np.putmask(pos, upper, q)
+        idx = pos.astype(np.intp)
+        np.minimum(idx, self.last, out=idx)
+        pos -= idx
+        c = np.take(self.coeffs, idx, axis=0)
+        x = c[:, 3] * pos
+        x += c[:, 2]
+        x *= pos
+        x += c[:, 1]
+        x *= pos
+        x += c[:, 0]
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +611,21 @@ class BoundedDoc:
         out = dict(self.base.params())
         out["bound"] = self.bound
         return out
+
+
+def sampling_quantile(doc: BoundedDoc) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a 1-d array of uniforms to document sizes that Monte
+    Carlo draws through.
+
+    A bounded Gamma document gets a certified _GammaQuantileTable (built
+    anew on each call, in about 10 ms); every other document, and a gamma
+    document whose table does not certify, gets doc.quantile_from_uniform.
+    """
+    if isinstance(doc.base, Gamma):
+        table = _GammaQuantileTable.build(doc.base, doc.bound, doc.cdf_at_bound)
+        if table is not None:
+            return table
+    return doc.quantile_from_uniform
 
 
 class CouplingMode(Enum):

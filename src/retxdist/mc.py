@@ -23,12 +23,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from .dists import CoupledModel
+from .dists import CoupledModel, sampling_quantile
 from .errors import InvalidParameter
 
 _CHUNK = 1 << 19
@@ -101,11 +101,11 @@ class NaiveDraw(NamedTuple):
 def sample_N(m: CoupledModel, rng: RandomStream) -> int:
     """One retransmission count via the conditional-geometric identity.
 
-    A one-sample block of the batched sampler: it draws the document
-    uniform, then the geometric uniform, even when the attempt is sure to
-    succeed.
+    A one-sample block of the batched sampler through the exact document
+    quantile: it draws the document uniform, then the geometric uniform,
+    even when the attempt is sure to succeed.
     """
-    return int(_batch_counts(m, rng.generator, 1)[0])
+    return int(_batch_counts(m, m.doc.quantile_from_uniform, rng.generator, 1)[0])
 
 
 def sample_N_naive(m: CoupledModel, rng: RandomStream, cap: int) -> NaiveDraw:
@@ -125,17 +125,40 @@ def sample_N_naive(m: CoupledModel, rng: RandomStream, cap: int) -> NaiveDraw:
     return NaiveDraw(cap, True)
 
 
-def _batch_counts(m: CoupledModel, gen: np.random.Generator, size: int) -> np.ndarray:
-    """One vectorized block of retransmission counts."""
-    u_doc = 1.0 - gen.random(size)
-    x = m.doc.quantile_from_uniform(u_doc)
-    p = np.minimum(np.asarray(m.channel.ccdf(x), dtype=float), 1.0)
-    u_geo = 1.0 - gen.random(size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.ceil(np.log(u_geo) / np.log1p(-p))
-    n = np.where(p >= _SURE_SUCCESS, 1.0, raw)
-    n = np.where(np.isfinite(n), n, float(_N_CAP))
-    return np.clip(n, 1.0, float(_N_CAP)).astype(np.int64)
+def _geometric_counts(p: np.ndarray, u_geo: np.ndarray) -> np.ndarray:
+    """ceil(log u_geo / log(1 - p)) as int64, in place over both arrays.
+
+    1 where p >= _SURE_SUCCESS; a ratio that is not finite (p = 0, or an
+    overflow for p near 5e-324) counts as _N_CAP; everything else is
+    clipped to [1, _N_CAP].
+    """
+    sure = p >= _SURE_SUCCESS
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.negative(p, out=p)
+        np.log1p(p, out=p)
+        n = np.log(u_geo, out=u_geo)
+        np.divide(n, p, out=n)
+    cap = float(_N_CAP)
+    np.ceil(n, out=n)
+    np.nan_to_num(n, copy=False, nan=cap, posinf=cap, neginf=cap)
+    np.clip(n, 1.0, cap, out=n)
+    n[sure] = 1.0
+    return n.astype(np.int64)
+
+
+def _batch_counts(m: CoupledModel, quantile: Callable[[np.ndarray], np.ndarray],
+                  gen: np.random.Generator, size: int) -> np.ndarray:
+    """One vectorized block of retransmission counts.
+
+    quantile maps the block's document uniforms to sizes; the geometric
+    uniforms are drawn after it, into the same buffer.
+    """
+    u = gen.random(size)
+    np.subtract(1.0, u, out=u)
+    p = np.asarray(m.channel.ccdf(quantile(u)), dtype=float)
+    gen.random(size, out=u)
+    np.subtract(1.0, u, out=u)
+    return _geometric_counts(p, u)
 
 
 def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
@@ -144,28 +167,33 @@ def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
     Uses a batched draw discipline (all document draws, then all geometric
     draws, per internal chunk), so it consumes the stream in a different
     order than repeated sample_N calls while remaining fully deterministic
-    for a given stream.
+    for a given stream. Documents are drawn through sampling_quantile.
     """
     gen = rng.generator
+    quantile = sampling_quantile(m.doc)
     parts = []
     done = 0
     while done < size:
         s = min(_CHUNK, size - done)
-        parts.append(_batch_counts(m, gen, s))
+        parts.append(_batch_counts(m, quantile, gen, s))
         done += s
     return np.concatenate(parts) if len(parts) != 1 else parts[0]
 
 
 def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
                   seed: int, stream_id: int) -> Tally:
-    """Tally one worker stream; chunked so memory stays bounded."""
+    """Tally one worker stream; chunked so memory stays bounded.
+
+    The stream draws documents through its own sampling_quantile.
+    """
     grid_arr = np.asarray(list(grid), dtype=np.int64)
     exceed = np.zeros(len(grid_arr), dtype=np.int64)
     gen = RandomStream(seed, stream_id).generator
+    quantile = sampling_quantile(m.doc)
     done = 0
     while done < quota:
         s = min(_CHUNK, quota - done)
-        n = _batch_counts(m, gen, s)
+        n = _batch_counts(m, quantile, gen, s)
         idx = np.searchsorted(grid_arr, n, side="left")
         bc = np.bincount(idx, minlength=len(grid_arr) + 1)
         # exceed[i] counts samples with n > grid[i]: all bucket indices > i.

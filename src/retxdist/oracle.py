@@ -14,10 +14,13 @@ catastrophic cancellation that 1 - u F(b) would suffer near the bound.
 
 The integrand's mass concentrates at v = 0 in a layer whose width shrinks
 like 1/(n Gbar(b)'); the integrator is seeded with geometric panel edges
-so every layer scale is sampled before adaptive refinement starts, and
-the integrand is always factored against its maximum (1 - Gbar(b))^n so
-the result carries an exact log value even when the linear probability
-underflows (deep tails reach e^-4000 and below).
+so every layer scale is sampled before adaptive refinement starts. The
+edges reach down to 1e-12; an integral that comes out exactly 0 there (a
+narrower layer, underflowing at every node) is redone once from edges
+reaching down to 1e-300. The integrand is always factored against its
+maximum (1 - Gbar(b))^n so the result carries an exact log value even
+when the linear probability underflows (deep tails reach e^-4000 and
+below).
 
 Evaluations are pure; concurrent evaluation over grid points is safe.
 """
@@ -40,6 +43,11 @@ MAX_PANELS = 1_000_000
 # Geometric seed edges: resolve boundary layers down to width 1e-12
 # before refinement; [0, 1e-12] is then split adaptively if needed.
 _SEED_EDGES = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 25)])
+# Retry edges for an integral that came out exactly 0: a layer narrower
+# than 1e-12 underflows at every node of the first seed panel, so the
+# first pass sees nothing to refine. Two edges per decade, as above;
+# coarser edges let a layer fall between the nodes of one wide panel.
+_DEEP_SEED_EDGES = np.concatenate([[0.0], np.geomspace(1e-300, 1.0, 601)])
 
 
 @dataclass(frozen=True)
@@ -92,10 +100,14 @@ def ccdf_exact(m: CoupledModel, n: int, *,
     def integrand(v: np.ndarray) -> np.ndarray:
         return np.exp(np.minimum(n * c(v) - log_peak, 0.0))
 
+    evaluations = 0
     try:
-        quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=rel_tol,
-                                  max_panels=max_panels,
-                                  initial_edges=_SEED_EDGES)
+        for edges in (_SEED_EDGES, _DEEP_SEED_EDGES):
+            quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=rel_tol,
+                                      max_panels=max_panels, initial_edges=edges)
+            evaluations += quad.evaluations
+            if quad.value != 0.0:
+                break
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"n={n}: {exc}") from exc
     if quad.value <= 0.0:
@@ -103,8 +115,7 @@ def ccdf_exact(m: CoupledModel, n: int, *,
     log_value = log_peak + math.log(quad.value)
     value = math.exp(log_value) if log_value > -745.0 else 0.0
     est_abs_err = value * (quad.abs_err / quad.value)
-    return OracleResult(n, value, est_abs_err, quad.panels, log_value,
-                        quad.evaluations)
+    return OracleResult(n, value, est_abs_err, quad.panels, log_value, evaluations)
 
 
 def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,

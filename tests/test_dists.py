@@ -5,13 +5,15 @@ forms, quadrature of densities, high-precision special functions) before
 the implementation existed.
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import ks_statistic, ks_statistic_uniform, model_1a, model_3, model_4
-from retxdist import gammafn
+from retxdist import dists, gammafn
 from retxdist.dists import (
     BoundedDoc,
     CoupledModel,
@@ -26,6 +28,7 @@ from retxdist.dists import (
     derive_doc_law,
     ell_from_dict,
     law_from_dict,
+    sampling_quantile,
     validate_coupling,
 )
 from retxdist.errors import (
@@ -404,6 +407,101 @@ class TestDerivedQuantile:
         with pytest.raises(NonConvergence):
             law.quantile_ccdf(np.array([0.5, 1e-3]))
 
+
+
+# (rate, shape, bound): one part only (F(b) <= 1/2), both parts, and a
+# bound with Fbar(b) < 1e-12 for each shape.
+GAMMA_TABLE_CASES = [
+    (1.0, 0.5, 0.1), (1.0, 0.5, 3.0), (1.0, 0.5, 26.0),
+    (2.0, 2.0, 0.5), (2.0, 2.0, 3.0), (1.0, 2.0, 32.0),
+    (1.0, 5.0, 3.0), (1.0, 5.0, 8.0), (1.0, 5.0, 40.0),
+]
+
+
+def _gamma_reference(law, doc, u):
+    """x for uniforms u through scipy's inversion of the cancellation-free tail."""
+    p = u * doc.cdf_at_bound
+    q = (1.0 - u) * doc.cdf_at_bound + float(law.ccdf(doc.bound))
+    return np.where(p <= 0.5, special.gammaincinv(law.shape, p),
+                    special.gammainccinv(law.shape, q)) / law.rate
+
+
+def _panel_midpoint_uniforms(law, doc, table):
+    """Uniforms whose table coordinate t is the midpoint of every panel."""
+    fbar_b = float(law.ccdf(doc.bound))
+    t_lo = min(doc.cdf_at_bound, 0.5) ** (1.0 / law.shape)
+    n_lo = table.panels[0]
+    t = (np.arange(n_lo) + 0.5) * (t_lo / n_lo)
+    out = [np.power(t, law.shape) / doc.cdf_at_bound]
+    if len(table.panels) > 1:
+        n_hi = table.panels[1]
+        t0, t1 = math.log(2.0), -math.log(fbar_b)
+        t = t0 + (np.arange(n_hi) + 0.5) * ((t1 - t0) / n_hi)
+        out.append(1.0 - (np.exp(-t) - fbar_b) / doc.cdf_at_bound)
+    return np.concatenate(out)
+
+
+class TestGammaQuantileTable:
+    @pytest.mark.parametrize("rate,shape,bound", GAMMA_TABLE_CASES)
+    def test_midpoints_certified(self, rate, shape, bound):
+        law = Gamma(rate, shape)
+        doc = BoundedDoc(law, bound)
+        table = sampling_quantile(doc)
+        assert isinstance(table, dists._GammaQuantileTable)
+        assert len(table.panels) == (1 if doc.cdf_at_bound <= 0.5 else 2)
+        assert table.max_error <= 1e-12
+        u = _panel_midpoint_uniforms(law, doc, table)
+        ref = _gamma_reference(law, doc, u)
+        assert np.max(np.abs(table(u) - ref) / ref) <= 1e-12
+        # between midpoints the cubic's error is smaller, up to how much its
+        # fourth derivative changes across a panel
+        u = RandomStream(61).uniforms(20_000)
+        ref = _gamma_reference(law, doc, u)
+        assert np.max(np.abs(table(u) - ref) / ref) <= 2e-12
+
+    def test_deep_bound_case_is_deep(self):
+        for law, bound in ((Gamma(1.0, 0.5), 26.0), (Gamma(1.0, 2.0), 32.0),
+                           (Gamma(1.0, 5.0), 40.0)):
+            assert 0.0 < law.ccdf(bound) < 1e-12
+
+    @pytest.mark.parametrize("rate,shape,bound", [(2.0, 2.0, 2.0), (2.0, 2.0, 4.0),
+                                                  (1.0, 5.0, 8.0)])
+    def test_draws_follow_the_law(self, rate, shape, bound):
+        doc = BoundedDoc(Gamma(rate, shape), bound)
+        u = RandomStream(62).uniforms(200_000)
+        xs = sampling_quantile(doc)(u)
+        assert np.all((xs >= 0.0) & (xs <= bound * (1.0 + 1e-12)))
+        d = ks_statistic_uniform(np.asarray(doc.cdf(xs)))
+        assert d < 1.63 / math.sqrt(len(xs))
+        exact = doc.quantile_from_uniform(u)
+        # the exact path's q = 1 - u F(b) cancels near x = 0: ~1e-10 there
+        assert np.max(np.abs(xs - exact) / exact) <= 1e-9
+
+    def test_infinite_bound_falls_back(self, caplog):
+        doc = BoundedDoc(Gamma(2.0, 2.0), math.inf)
+        with caplog.at_level(logging.DEBUG, logger="retxdist"):
+            assert sampling_quantile(doc) == doc.quantile_from_uniform
+        assert "bound inf" in caplog.text and "exact quantile" in caplog.text
+
+    def test_uncertified_table_falls_back(self, monkeypatch, caplog):
+        monkeypatch.setattr(dists, "_GAMMA_TABLE_MAX_PANELS", dists._GAMMA_TABLE_PANELS)
+        doc = BoundedDoc(Gamma(2.0, 2.0), 3.0)
+        with caplog.at_level(logging.DEBUG, logger="retxdist"):
+            assert sampling_quantile(doc) == doc.quantile_from_uniform
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "bound 3" in record.message and "64+64 panels" in record.message
+        assert "midpoint error" in record.message
+
+    def test_silent_by_default(self, capsys):
+        doc = BoundedDoc(Gamma(2.0, 2.0), math.inf)
+        sampling_quantile(doc)
+        assert capsys.readouterr() == ("", "")
+
+    def test_other_laws_take_the_exact_path(self):
+        for base in (Exponential(2.0), Weibull(0.5, 16.0)):
+            doc = BoundedDoc(base, 3.0)
+            assert sampling_quantile(doc) == doc.quantile_from_uniform
 
 DERIVED_LAWS = [derive_doc_law(channel, alpha, ell, bound).doc.base
                 for channel, bound in DERIVED_CHANNELS for alpha, ell in DERIVED_ELLS]

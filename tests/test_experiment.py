@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -326,6 +329,16 @@ class TestCli:
         assert cli.main(["preset", "example1a"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["alpha"] == 2.0
+
+    def test_python_dash_m(self):
+        # `python -m retxdist` with only the source tree on the path
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "retxdist", "preset", "example1a"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["alpha"] == 2.0
 
     def test_preset_out_file(self, tmp_path, capsys):
         out = tmp_path / "cfg.json"

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ks_two_sample_ints
-from retxdist import mc
+from conftest import ks_two_sample_ints, model_4
+from retxdist import dists, mc
 from retxdist.dists import BoundedDoc, CoupledModel, CouplingMode, Exponential, SlowVaryOne
 from retxdist.errors import InvalidParameter
 from retxdist.oracle import ccdf_exact
@@ -123,6 +123,68 @@ class TestNaiveSampler:
         geo = mc.sample_N_batch(exp_pair_b1, mc.RandomStream(7), 10_000)
         d = ks_two_sample_ints(naive, geo)
         assert d < 1.95 * math.sqrt(2.0 / 10_000)
+
+
+def _unfused_counts(p, u_geo):
+    """The count formula as a chain of whole-array temporaries."""
+    p = np.minimum(p, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = np.ceil(np.log(u_geo) / np.log1p(-p))
+    n = np.where(p >= mc._SURE_SUCCESS, 1.0, raw)
+    n = np.where(np.isfinite(n), n, float(mc._N_CAP))
+    return np.clip(n, 1.0, float(mc._N_CAP)).astype(np.int64)
+
+
+class TestGeometricCounts:
+    def test_matches_unfused_formula(self):
+        rng = np.random.default_rng(12)
+        sure = mc._SURE_SUCCESS
+        ps = np.concatenate([
+            [0.0, -0.0, 5e-324, 1e-300, 1e-19, 1e-16, 0.5, np.nextafter(sure, 0.0),
+             sure, 1.0 - 1e-16, 1.0, np.nextafter(1.0, 2.0), np.nan],
+            rng.random(300), 10.0 ** rng.uniform(-25.0, 0.0, 300)])
+        us = np.concatenate([[1.0, np.nextafter(1.0, 0.0), 0.5, 2.0 ** -53],
+                             1.0 - rng.random(200)])
+        p, u = (a.ravel() for a in np.meshgrid(ps, us))
+        want = _unfused_counts(p.copy(), u.copy())
+        got = mc._geometric_counts(p.copy(), u.copy())
+        assert np.array_equal(got, want)
+        # the crafted edges all occur: sure successes, u = 1, and the cap
+        assert np.any(want == mc._N_CAP) and np.any((want == 1) & (u == 1.0))
+        assert np.any((p >= sure) & (u < 0.5) & (want == 1))
+
+
+class TestGammaDocuments:
+    def test_tally_inside_binomial_band(self):
+        # example4: every count lies in the exact binomial band of the oracle
+        binom = pytest.importorskip("scipy.stats").binom
+        samples = 200_000
+        grid = [1, 2, 3, 5, 10, 20, 50, 100, 200, 500, 1000]
+        for bound in (2.0, 3.0, 4.0):
+            m = model_4(bound)
+            tally = mc.run_tally(m, grid, samples, seed=20260805)
+            for n, k in zip(grid, tally.exceed_counts):
+                p = ccdf_exact(m, n).value
+                lo, hi = binom.ppf(1e-9, samples, p), binom.isf(1e-9, samples, p)
+                assert lo <= k <= hi, (bound, n, k, lo, hi)
+
+    def test_uncertified_table_draws_exactly(self, monkeypatch):
+        monkeypatch.setattr(dists, "_GAMMA_TABLE_MAX_PANELS", dists._GAMMA_TABLE_PANELS)
+        m = model_4(3.0)
+        got = mc.sample_N_batch(m, mc.RandomStream(14), 5_000)
+        want = mc._batch_counts(m, m.doc.quantile_from_uniform,
+                                mc.RandomStream(14).generator, 5_000)
+        assert np.array_equal(got, want)
+
+    def test_table_counts_match_exact_counts(self):
+        # same uniforms, quantiles 1e-12 apart: counts differ only where a
+        # draw sits on a geometric boundary
+        m = model_4(3.0)
+        table = mc._batch_counts(m, dists.sampling_quantile(m.doc),
+                                 mc.RandomStream(15).generator, 100_000)
+        exact = mc._batch_counts(m, m.doc.quantile_from_uniform,
+                                 mc.RandomStream(15).generator, 100_000)
+        assert np.count_nonzero(table != exact) <= 2
 
 
 class TestRunTally:

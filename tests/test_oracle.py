@@ -10,7 +10,7 @@ import math
 import pytest
 
 from conftest import model_1a, model_3, model_4
-from retxdist import oracle
+from retxdist import cli, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf, log_exact_integer_ccdf
 from retxdist.errors import InvalidParameter, QuadratureFailure
 from retxdist.mc import empirical_ccdf, run_tally
@@ -75,6 +75,44 @@ class TestDeepTail:
         assert logs[0] > logs[1] > logs[2]
         for n, v in zip((178, 1_000, 10_000), logs):
             assert v == pytest.approx(log_exact_integer_ccdf(p, n), rel=1e-10)
+
+    def test_sub_1e12_layer_retried_deeper(self, capsys):
+        # example3 k2_b8 from n ~ 2.9e6 on: the mass lies at v below 1e-22,
+        # so every node of the first seed panel [0, 1e-12] underflows
+        mpmath = pytest.importorskip("mpmath")
+        assert cli.main(["oracle", "--preset", "example3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        tail = {int(r[1]): float(r[3]) for r in rows if r[0] == "k2_b8"}
+        logs = list(tail.values())
+        assert max(tail) > 7e9
+        assert all(b <= a for a, b in zip(logs, logs[1:]))
+        # exact coupling with alpha = 4 and g = Gbar(8) = e^-16:
+        # P[N > n] = alpha B_{1-g}(n+1, alpha) / (1 - g^alpha)
+        with mpmath.workdps(30):
+            g = mpmath.exp(-16)
+            for n in (6189658, 287298483, 7251749900):
+                ref = float(mpmath.log(4 * mpmath.betainc(n + 1, 4, 0, 1 - g)
+                                       / (1 - g ** 4)))
+                assert abs(tail[n] - ref) <= 1e-9, n
+
+    def test_retry_only_after_exact_zero(self, monkeypatch):
+        passes = []
+
+        def counted(*args, **kwargs):
+            quad = integrate(*args, **kwargs)
+            passes.append((len(kwargs["initial_edges"]), quad.value, quad.evaluations))
+            return quad
+
+        integrate = oracle.integrate_adaptive
+        monkeypatch.setattr(oracle, "integrate_adaptive", counted)
+        m = model_3(2.0, 2.0)
+        one = ccdf_exact(m, 10_000)
+        assert [(e, v > 0.0) for e, v, _ in passes] == [(26, True)]
+        assert one.evaluations == passes[0][2]
+        passes.clear()
+        deep = ccdf_exact(m, 7_251_749_900)
+        assert [(e, v > 0.0) for e, v, _ in passes] == [(26, False), (602, True)]
+        assert deep.evaluations == passes[0][2] + passes[1][2]
 
 
 class TestCurves:
