@@ -18,7 +18,6 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .asym import (
     ApproxParams,
-    PrefactorMode,
     TransitionReport,
     exact_integer_ccdf,
     exp_tail_asymptote,
@@ -60,7 +59,7 @@ from .oracle import OracleResult, ccdf_exact, ccdf_exact_curve
 __all__ = [
     "ApproxParams", "BoundedDoc", "CoupledModel", "CouplingMode",
     "CouplingReport", "DerivedLaw", "Exponential", "Gamma",
-    "OracleResult", "PrefactorMode", "RandomStream", "Source", "SlowVaryGammaDoc",
+    "OracleResult", "RandomStream", "Source", "SlowVaryGammaDoc",
     "SlowVaryLogPower", "SlowVaryOne", "Tally", "TransitionReport", "Weibull",
     "ccdf_exact", "ccdf_exact_curve", "derive_doc_law", "empirical_ccdf",
     "exact_integer_ccdf", "exp_tail_asymptote", "exp_tail_general", "log_body",

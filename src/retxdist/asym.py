@@ -8,9 +8,9 @@ with ratio (1 - g). The workhorse here is the uniform approximation
     P[N_b > n] ~ alpha * G(-n log(1 - g), alpha)
                  / (n^alpha * ell(min(n, 1/g))),
 
-a power law multiplied by the upper incomplete Gamma integral, optionally
-scaled by 1/P[L <= b] (the truncation correction, on by default since it
-measurably helps at small bounds). Its two regime limits, the pure power
+a power law multiplied by the upper incomplete Gamma integral, scaled by
+1/P[L <= b] (the truncation correction, which measurably helps at small
+bounds). Its two regime limits, the pure power
 law and the geometric tail, are exposed separately, as are the log-scale
 body approximation n log(1-g) - alpha log n, the matching log-scale upper
 bound, and the exact finite sum available when alpha is an integer.
@@ -24,18 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from . import gammafn
 from .dists import CoupledModel, SlowVary, SlowVaryOne
 from .errors import EllNotOne, InvalidParameter, NonConvergence, NoRoot, NotInteger
 
 _INTEGER_TOL = 1e-12
-
-
-class PrefactorMode(Enum):
-    PLAIN = "plain"
-    TRUNCATION_CORRECTED = "truncation_corrected"
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,6 @@ class ApproxParams:
     ell: SlowVary
     gbar_b: float          # channel survival at the bound, in (0, 1)
     F_b: float             # P[L <= b] for the untruncated document law
-    prefactor_mode: PrefactorMode = PrefactorMode.TRUNCATION_CORRECTED
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gbar_b < 1.0:
@@ -57,21 +50,13 @@ class ApproxParams:
             raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
 
     @classmethod
-    def from_model(cls, m: CoupledModel,
-                   prefactor_mode: PrefactorMode = PrefactorMode.TRUNCATION_CORRECTED
-                   ) -> "ApproxParams":
+    def from_model(cls, m: CoupledModel) -> "ApproxParams":
         g = m.gbar_bound()
         if g <= 0.0:
             raise InvalidParameter(
                 "closed forms need a finite bound (unbounded models are a "
                 "pure power law; use power_law_limit)")
-        return cls(m.alpha, m.ell, g, m.doc.cdf_at_bound, prefactor_mode)
-
-    @property
-    def log_prefactor(self) -> float:
-        if self.prefactor_mode is PrefactorMode.TRUNCATION_CORRECTED:
-            return -math.log(self.F_b)
-        return 0.0
+        return cls(m.alpha, m.ell, g, m.doc.cdf_at_bound)
 
 
 @dataclass(frozen=True)
@@ -115,7 +100,7 @@ def log_uniform_approx(p: ApproxParams, n: int) -> float:
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
     x = _gamma_argument(p, n)
-    return (p.log_prefactor + math.log(p.alpha)
+    return (-math.log(p.F_b) + math.log(p.alpha)
             + gammafn.log_upper_incomplete_gamma(x, p.alpha)
             - p.alpha * math.log(n) - _log_ell_term(p, n))
 

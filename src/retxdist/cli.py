@@ -129,6 +129,8 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import ccdf_exact
     cfg = _resolve_config(args)
+    if args.n and min(args.n) < 0:
+        raise ConfigInvalid(f"--n must be >= 0, got {min(args.n)}")
     print("case,n,value,log_value,est_abs_err,subdivisions")
     for label, model in _case_models(cfg):
         grid = args.n if args.n else experiment.candidate_grid(cfg, model)

@@ -229,11 +229,9 @@ class _GammaQuantileTable:
     Calls take a 1-d array of uniforms and evaluate it in blocks.
     """
 
-    def __init__(self, shape: float, cdf_at_bound: float, ccdf_at_bound: float,
-                 t_lo: float, t_hi: float, parts: list) -> None:
-        self.cdf_at_bound = cdf_at_bound
-        self.ccdf_at_bound = ccdf_at_bound
-        self.inv_shape = 1.0 / shape
+    def __init__(self, doc: "BoundedDoc", t_lo: float, t_hi: float, parts: list) -> None:
+        self.doc = doc
+        self.inv_shape = 1.0 / doc.base.shape
         self.panels = tuple(n for _, n, _ in parts)
         self.max_error = max(err for _, _, err in parts)
         self.coeffs = np.concatenate([c for c, _, _ in parts])
@@ -247,11 +245,10 @@ class _GammaQuantileTable:
             self.hi_offset = self.panels[0] - math.log(2.0) * self.hi_scale
 
     @classmethod
-    def build(cls, law: Gamma, bound: float,
-              cdf_at_bound: float) -> Optional["_GammaQuantileTable"]:
-        """The certified table, or None (logged at DEBUG) where there is none."""
-        k, rate = law.shape, law.rate
-        ccdf_at_bound = float(law.ccdf(bound))
+    def build(cls, doc: "BoundedDoc") -> Optional["_GammaQuantileTable"]:
+        """The certified table of a bounded Gamma document, or None (logged
+        at DEBUG) where there is none."""
+        k, rate = doc.base.shape, doc.base.rate
         log_gamma_k = float(special.gammaln(k))
         log_gamma_k1 = float(special.gammaln(k + 1.0))
 
@@ -272,21 +269,21 @@ class _GammaQuantileTable:
             y = rate * x
             return np.exp(log_gamma_k + y - t - (k - 1.0) * np.log(y)) / rate
 
-        if not ccdf_at_bound > 0.0:
+        if not doc.ccdf_at_bound > 0.0:
             _log.debug("gamma quantile table: bound %g, 0 panels: Fbar(bound) = 0 "
-                       "leaves -log q unbounded; using the exact quantile", bound)
+                       "leaves -log q unbounded; using the exact quantile", doc.bound)
             return None
-        t_lo = min(cdf_at_bound, 0.5) ** (1.0 / k)
-        t_hi = -math.log(ccdf_at_bound)
+        t_lo = min(doc.cdf_at_bound, 0.5) ** (1.0 / k)
+        t_hi = -math.log(doc.ccdf_at_bound)
         with np.errstate(all="ignore"):
             parts = [_certified_part(lower_x, lower_slope, 0.0, t_lo)]
-            if cdf_at_bound > 0.5:
+            if doc.cdf_at_bound > 0.5:
                 parts.append(_certified_part(upper_x, upper_slope, math.log(2.0), t_hi))
-        table = cls(k, cdf_at_bound, ccdf_at_bound, t_lo, t_hi, parts)
+        table = cls(doc, t_lo, t_hi, parts)
         if not table.max_error <= _GAMMA_TABLE_TOL:
             _log.debug("gamma quantile table: bound %g, %s panels, midpoint error "
                        "%.3g above %g; using the exact quantile",
-                       bound, "+".join(map(str, table.panels)), table.max_error,
+                       doc.bound, "+".join(map(str, table.panels)), table.max_error,
                        _GAMMA_TABLE_TOL)
             return None
         return table
@@ -298,13 +295,13 @@ class _GammaQuantileTable:
         return out
 
     def _block(self, u: np.ndarray) -> np.ndarray:
-        p = u * self.cdf_at_bound
+        p = u * self.doc.cdf_at_bound
         upper = p > 0.5
         pos = np.power(p, self.inv_shape, out=p)
         pos *= self.lo_scale
         q = 1.0 - u
-        q *= self.cdf_at_bound
-        q += self.ccdf_at_bound
+        q *= self.doc.cdf_at_bound
+        q += self.doc.ccdf_at_bound
         np.log(q, out=q)
         q *= -self.hi_scale
         q += self.hi_offset
@@ -567,35 +564,38 @@ Law = Union[Exponential, Weibull, Gamma, DerivedLaw]
 class BoundedDoc:
     """Document size conditioned on [0, bound]; bound may be math.inf.
 
-    P[L_b <= x] = F(x) / F(bound). An unbounded sentinel (bound = inf)
+    P[L_b <= x] = F(x) / F(bound). cdf_at_bound is F(bound) and
+    ccdf_at_bound is Fbar(bound), each evaluated once here; an unbounded
+    sentinel (bound = inf) has F(bound) = 1 and Fbar(bound) = 0, which
     makes the law identical to the base law.
     """
 
     base: Law
     bound: float
     cdf_at_bound: float = field(init=False)
+    ccdf_at_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.bound > 0.0:
             raise InvalidParameter(f"bound must be positive, got {self.bound}")
-        f_b = 1.0 if math.isinf(self.bound) else float(self.base.cdf(self.bound))
+        if math.isinf(self.bound):
+            f_b, fbar_b = 1.0, 0.0
+        else:
+            f_b, fbar_b = float(self.base.cdf(self.bound)), float(self.base.ccdf(self.bound))
         if f_b < 1e-300:
             raise DegenerateTruncation(
                 f"P[L <= {self.bound}] = {f_b} leaves no mass below the bound")
         object.__setattr__(self, "cdf_at_bound", f_b)
+        object.__setattr__(self, "ccdf_at_bound", fbar_b)
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
         """Truncated survival function, 1 at 0 and 0 at the bound."""
-        if math.isinf(self.bound):
-            return self.base.ccdf(x)
         x = np.asarray(x, dtype=float)
-        num = self.base.ccdf(x) - self.base.ccdf(self.bound)
+        num = self.base.ccdf(x) - self.ccdf_at_bound
         out = np.clip(num / self.cdf_at_bound, 0.0, 1.0)
         return np.where(x >= self.bound, 0.0, out)[()]
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        if math.isinf(self.bound):
-            return self.base.cdf(x)
         return np.clip(self.base.cdf(x) / self.cdf_at_bound, 0.0, 1.0)
 
     def quantile_from_uniform(self, u: ArrayLike) -> ArrayLike:
@@ -622,7 +622,7 @@ def sampling_quantile(doc: BoundedDoc) -> Callable[[np.ndarray], np.ndarray]:
     document whose table does not certify, gets doc.quantile_from_uniform.
     """
     if isinstance(doc.base, Gamma):
-        table = _GammaQuantileTable.build(doc.base, doc.bound, doc.cdf_at_bound)
+        table = _GammaQuantileTable.build(doc)
         if table is not None:
             return table
     return doc.quantile_from_uniform
@@ -649,7 +649,6 @@ class CoupledModel:
     doc: BoundedDoc
     alpha: float
     ell: SlowVary
-    mode: CouplingMode
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
@@ -659,11 +658,16 @@ class CoupledModel:
     def bound(self) -> float:
         return self.doc.bound
 
+    @property
+    def mode(self) -> CouplingMode:
+        """DERIVED exactly when the document law is a DerivedLaw."""
+        return (CouplingMode.DERIVED if isinstance(self.doc.base, DerivedLaw)
+                else CouplingMode.PARAMETRIC)
+
     @classmethod
     def parametric(cls, channel: Law, doc_base: Law, alpha: float,
                    ell: SlowVary, bound: float) -> "CoupledModel":
-        return cls(channel, BoundedDoc(doc_base, bound), alpha, ell,
-                   CouplingMode.PARAMETRIC)
+        return cls(channel, BoundedDoc(doc_base, bound), alpha, ell)
 
     def gbar_bound(self) -> float:
         """Channel survival probability at the document bound."""
@@ -716,8 +720,7 @@ def derive_doc_law(channel: Law, alpha: float, ell: SlowVary,
         raise DegenerateTruncation(
             "derived survival function exceeds 1 on the whole grid")
     law = DerivedLaw(channel, alpha, ell, x_anchor=float(xs[below[0]]))
-    return CoupledModel(channel, BoundedDoc(law, bound), alpha, ell,
-                        CouplingMode.DERIVED)
+    return CoupledModel(channel, BoundedDoc(law, bound), alpha, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,6 @@ class ExperimentConfig:
     fmt: str = "csv"
     variants: tuple[ModelVariant, ...] = ()
     skip_coupling_check: bool = False
-    oracle_threshold: float = ORACLE_REPORT_THRESHOLD
 
     def __post_init__(self) -> None:
         if not self.bounds:
@@ -579,7 +578,7 @@ def _compare(cfg: ExperimentConfig, label: str, bound: float,
     for col, v in table.items():
         if col == "oracle" or col.startswith("mc_"):
             continue
-        use = (value >= cfg.oracle_threshold) & ~np.isnan(v)
+        use = (value >= ORACLE_REPORT_THRESHOLD) & ~np.isnan(v)
         if col == Source.LOG_BODY.value:
             err = np.abs(v[use] / log_value[use] - 1.0)
         else:
@@ -598,7 +597,7 @@ def _compare(cfg: ExperimentConfig, label: str, bound: float,
         transition = asym.transition_point(asym.ApproxParams.from_model(model))
     except (NoRoot, InvalidParameter):
         transition = None
-    return ComparisonReport(label, bound, cfg.oracle_threshold, max_err,
+    return ComparisonReport(label, bound, ORACLE_REPORT_THRESHOLD, max_err,
                             coverage, npoints, transition, coupling_residual)
 
 

@@ -23,7 +23,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -161,6 +161,15 @@ def _batch_counts(m: CoupledModel, quantile: Callable[[np.ndarray], np.ndarray],
     return _geometric_counts(p, u)
 
 
+def _count_chunks(m: CoupledModel, gen: np.random.Generator,
+                  size: int) -> Iterator[np.ndarray]:
+    """size retransmission counts in blocks of at most _CHUNK, every block
+    drawn through one sampling_quantile of the document."""
+    quantile = sampling_quantile(m.doc)
+    for done in range(0, size, _CHUNK):
+        yield _batch_counts(m, quantile, gen, min(_CHUNK, size - done))
+
+
 def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
     """Vectorized retransmission counts, same law as sample_N.
 
@@ -169,37 +178,21 @@ def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
     order than repeated sample_N calls while remaining fully deterministic
     for a given stream. Documents are drawn through sampling_quantile.
     """
-    gen = rng.generator
-    quantile = sampling_quantile(m.doc)
-    parts = []
-    done = 0
-    while done < size:
-        s = min(_CHUNK, size - done)
-        parts.append(_batch_counts(m, quantile, gen, s))
-        done += s
+    parts = list(_count_chunks(m, rng.generator, size))
     return np.concatenate(parts) if len(parts) != 1 else parts[0]
 
 
 def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
                   seed: int, stream_id: int) -> Tally:
-    """Tally one worker stream; chunked so memory stays bounded.
-
-    The stream draws documents through its own sampling_quantile.
-    """
+    """Tally one worker stream; chunked so memory stays bounded."""
     grid_arr = np.asarray(list(grid), dtype=np.int64)
     exceed = np.zeros(len(grid_arr), dtype=np.int64)
-    gen = RandomStream(seed, stream_id).generator
-    quantile = sampling_quantile(m.doc)
-    done = 0
-    while done < quota:
-        s = min(_CHUNK, quota - done)
-        n = _batch_counts(m, quantile, gen, s)
+    for n in _count_chunks(m, RandomStream(seed, stream_id).generator, quota):
         idx = np.searchsorted(grid_arr, n, side="left")
         bc = np.bincount(idx, minlength=len(grid_arr) + 1)
         # exceed[i] counts samples with n > grid[i]: all bucket indices > i.
         suffix = np.cumsum(bc[::-1])[::-1]
         exceed += suffix[1:]
-        done += s
     return Tally(tuple(int(g) for g in grid_arr),
                  tuple(int(c) for c in exceed), quota)
 

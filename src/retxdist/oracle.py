@@ -71,8 +71,7 @@ def _log_survival_map(m: CoupledModel):
     """v in [0, 1] -> log(1 - Gbar(X(v))), X(v) the survival-form quantile."""
     base = m.doc.base
     channel = m.channel
-    bound = m.doc.bound
-    fbar_b = 0.0 if math.isinf(bound) else float(base.ccdf(bound))
+    fbar_b = m.doc.ccdf_at_bound
     f_b = m.doc.cdf_at_bound
 
     def log_one_minus_p(v: np.ndarray) -> np.ndarray:
@@ -85,10 +84,9 @@ def _log_survival_map(m: CoupledModel):
     return log_one_minus_p
 
 
-def ccdf_exact(m: CoupledModel, n: int, *,
-               rel_tol: float = REL_TOL,
-               max_panels: int = MAX_PANELS) -> OracleResult:
-    """Exact P[N_b > n] for one n (n = 0 returns exactly 1)."""
+def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
+    """Exact P[N_b > n] for one n (n = 0 returns exactly 1), to REL_TOL
+    within MAX_PANELS panels."""
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
     if n == 0:
@@ -103,15 +101,17 @@ def ccdf_exact(m: CoupledModel, n: int, *,
     evaluations = 0
     try:
         for edges in (_SEED_EDGES, _DEEP_SEED_EDGES):
-            quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=rel_tol,
-                                      max_panels=max_panels, initial_edges=edges)
+            quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=REL_TOL,
+                                      max_panels=MAX_PANELS, initial_edges=edges)
             evaluations += quad.evaluations
             if quad.value != 0.0:
                 break
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"n={n}: {exc}") from exc
     if quad.value <= 0.0:
-        raise QuadratureFailure(f"n={n}: nonpositive integral {quad.value}")
+        raise QuadratureFailure(
+            f"n={n}: nonpositive integral {quad.value} after {quad.panels} panels "
+            f"and {evaluations} evaluations")
     log_value = log_peak + math.log(quad.value)
     value = math.exp(log_value) if log_value > -745.0 else 0.0
     est_abs_err = value * (quad.abs_err / quad.value)
@@ -119,9 +119,7 @@ def ccdf_exact(m: CoupledModel, n: int, *,
 
 
 def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
-                     stop_below: Optional[float] = None,
-                     rel_tol: float = REL_TOL,
-                     max_panels: int = MAX_PANELS) -> list[OracleResult]:
+                     stop_below: Optional[float] = None) -> list[OracleResult]:
     """Exact CCDF over a strictly increasing grid of counts, in grid order.
 
     Enforces that the computed values are nonincreasing in n; a violation
@@ -135,11 +133,12 @@ def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
     out: list[OracleResult] = []
     prev_log = math.inf
     for n in grid:
-        res = ccdf_exact(m, int(n), rel_tol=rel_tol, max_panels=max_panels)
+        res = ccdf_exact(m, int(n))
         if res.log_value > prev_log + 1e-9:
             raise QuadratureFailure(
-                f"oracle curve not monotone at n={n}: "
-                f"log {res.log_value} after {prev_log}")
+                f"oracle curve not monotone at n={n}: log {res.log_value} "
+                f"after {prev_log} ({res.subdivisions} panels, "
+                f"{res.evaluations} evaluations)")
         prev_log = res.log_value
         if stop_below is not None and res.value < stop_below and out:
             break

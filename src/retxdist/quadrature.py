@@ -43,6 +43,11 @@ _W_KRONROD = np.concatenate([_WGK[:7], _WGK[::-1]])
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])   # Gauss points interleave
 
+# Starting panels when no edges are given, and the error target's floor
+# for integrals that are 0 or nearly so.
+_INITIAL_PANELS = 8
+_ABS_FLOOR = 1e-320
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -67,16 +72,15 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
                        a: float, b: float, *,
                        rel_tol: float = 1e-12,
-                       abs_floor: float = 1e-320,
                        max_panels: int = 1_000_000,
-                       initial_panels: int = 8,
                        initial_edges: Optional[Sequence[float]] = None) -> QuadResult:
     """Integrate f over [a, b] to a relative error target.
 
-    Refines until the summed error estimate falls below
-    max(rel_tol * |integral|, abs_floor). Raises QuadratureFailure when
+    Starts from initial_edges, or from _INITIAL_PANELS equal panels, and
+    refines until the summed error estimate falls below
+    max(rel_tol * |integral|, _ABS_FLOOR). Raises QuadratureFailure when
     the panel budget is exhausted or no offending panel can be split
-    further.
+    further; either message gives the panels spent.
     """
     if not b > a:
         raise QuadratureFailure(f"empty or inverted interval [{a}, {b}]")
@@ -85,7 +89,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
         if edges[0] != a or edges[-1] != b or np.any(np.diff(edges) <= 0):
             raise QuadratureFailure("initial edges must ascend from a to b")
     else:
-        edges = np.linspace(a, b, initial_panels + 1)
+        edges = np.linspace(a, b, _INITIAL_PANELS + 1)
     lo, hi = edges[:-1].copy(), edges[1:].copy()
     vals, errs = _eval_panels(f, lo, hi)
     evaluations = 15 * len(lo)
@@ -93,7 +97,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
     while True:
         total = float(vals.sum())
         total_err = float(errs.sum())
-        target = max(rel_tol * abs(total), abs_floor)
+        target = max(rel_tol * abs(total), _ABS_FLOOR)
         if total_err <= target:
             return QuadResult(total, total_err, len(lo), evaluations)
 
@@ -108,7 +112,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
         if not mask.any():
             raise QuadratureFailure(
                 f"error {total_err:.3e} stalled at machine panel width "
-                f"(target {target:.3e})")
+                f"(target {target:.3e}) after {len(lo)} panels and "
+                f"{evaluations} evaluations")
         if len(lo) + int(mask.sum()) > max_panels:
             raise QuadratureFailure(
                 f"error {total_err:.3e} above target after {len(lo)} panels")

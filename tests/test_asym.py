@@ -5,13 +5,14 @@ precomputed independently before the build:
 (1 - e^-4)^-1 * (2/100) * G(-10 log(1 - e^-2), 2) = 0.011679758806024376.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from conftest import model_1a, model_1b, model_4
 from retxdist import asym
-from retxdist.asym import ApproxParams, PrefactorMode
+from retxdist.asym import ApproxParams
 from retxdist.dists import SlowVaryGammaDoc, SlowVaryLogPower, SlowVaryOne
 from retxdist.errors import (
     EllNotOne,
@@ -25,8 +26,8 @@ from retxdist.oracle import ccdf_exact
 UNIFORM_1A_B2_N10 = 0.011679758806024376
 
 
-def params(alpha, gbar_b, F_b=1.0, ell=None, mode=PrefactorMode.TRUNCATION_CORRECTED):
-    return ApproxParams(alpha, ell or SlowVaryOne(), gbar_b, F_b, mode)
+def params(alpha, gbar_b, F_b=1.0, ell=None):
+    return ApproxParams(alpha, ell or SlowVaryOne(), gbar_b, F_b)
 
 
 class TestUniformApprox:
@@ -47,13 +48,6 @@ class TestUniformApprox:
         p = ApproxParams.from_model(m)
         exact = ccdf_exact(m, 100).value
         assert abs(asym.uniform_approx(p, 100) - exact) / exact <= 0.10
-
-    def test_plain_mode_drops_truncation_factor(self):
-        m = model_1a(2.0)
-        corrected = ApproxParams.from_model(m)
-        plain = ApproxParams.from_model(m, PrefactorMode.PLAIN)
-        ratio = asym.uniform_approx(corrected, 10) / asym.uniform_approx(plain, 10)
-        assert ratio == pytest.approx(1.0 / corrected.F_b, rel=1e-12)
 
     def test_log_variant_matches(self):
         p = ApproxParams.from_model(model_1a(1.0))
@@ -88,7 +82,7 @@ class TestPowerLawLimit:
     def test_uniform_converges_to_power_law(self):
         # agreement within 2 n Gbar(b) as the truncation influence vanishes
         m = model_1a(4.0)
-        plain = ApproxParams.from_model(m, PrefactorMode.PLAIN)
+        plain = dataclasses.replace(ApproxParams.from_model(m), F_b=1.0)
         n = 10
         drift = 2.0 * n * plain.gbar_b
         ratio = asym.uniform_approx(plain, n) / asym.power_law_limit(plain, n)
@@ -147,7 +141,7 @@ class TestExpTail:
         devs = []
         for n_gbar in (20.0, 50.0):
             n = 1000
-            p = params(2.0, n_gbar / n, mode=PrefactorMode.PLAIN)
+            p = params(2.0, n_gbar / n)
             ratio = math.exp(asym.log_uniform_approx(p, n)
                              - asym.log_exp_tail_general(p, n))
             assert 0.8 <= ratio <= 1.25
@@ -265,7 +259,7 @@ class TestRegimeLimits:
         # Gamma(alpha + 1) / alpha within 2%
         target = gamma(3.0) / 2.0
         for n in (100, 1000, 10_000, 100_000):
-            p = params(2.0, 0.01 / n, mode=PrefactorMode.PLAIN)
+            p = params(2.0, 0.01 / n)
             scaled = asym.uniform_approx(p, n) * n ** 2 / 2.0
             assert abs(scaled - target) <= 0.02 * target
 
@@ -279,7 +273,7 @@ class TestRegimeLimits:
         ell = p.ell
         with_switch = asym.log_uniform_approx(p, n_hi)
         # same formula with the argument pinned to n_hi (no switch)
-        no_switch = (p.log_prefactor + math.log(p.alpha)
+        no_switch = (-math.log(p.F_b) + math.log(p.alpha)
                      + asym.gammafn.log_upper_incomplete_gamma(
                          n_hi * asym.neg_log_one_minus(p.gbar_b), p.alpha)
                      - p.alpha * math.log(n_hi)

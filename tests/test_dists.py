@@ -5,6 +5,7 @@ forms, quadrature of densities, high-precision special functions) before
 the implementation existed.
 """
 
+import dataclasses
 import logging
 import math
 
@@ -171,6 +172,28 @@ class TestBoundedDoc:
         d = ks_statistic(samples, lambda v: np.asarray(base.cdf(v)))
         assert d < 1.95 / math.sqrt(len(samples))
 
+    @pytest.mark.parametrize("base,bound", [
+        (Exponential(2.0), 1.0), (Weibull(0.5, 16.0), 8.0), (Gamma(2.0, 2.0), 3.0),
+        (Gamma(0.7, 3.2), 0.3),
+        (derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0).doc.base,
+         16.0)])
+    def test_ccdf_at_bound_is_the_base_survival(self, base, bound):
+        doc = BoundedDoc(base, bound)
+        assert type(doc.ccdf_at_bound) is float
+        assert doc.ccdf_at_bound.hex() == float(base.ccdf(bound)).hex()
+        assert doc.cdf_at_bound.hex() == float(base.cdf(bound)).hex()
+
+    @pytest.mark.parametrize("base", [
+        Exponential(1.0), Weibull(0.5, 16.0), Gamma(0.7, 3.2),
+        derive_doc_law(Exponential(2.0), 1.0, SlowVaryGammaDoc(2.0, 2.0, 2.0),
+                       math.inf).doc.base])
+    def test_unbounded_is_the_base_law_bit_for_bit(self, base):
+        doc = BoundedDoc(base, math.inf)
+        assert doc.ccdf_at_bound == 0.0 and doc.cdf_at_bound == 1.0
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 50.0, 200)])
+        np.testing.assert_array_equal(doc.ccdf(xs), base.ccdf(xs))
+        np.testing.assert_array_equal(doc.cdf(xs), base.cdf(xs))
+
     def test_degenerate_truncation(self):
         with pytest.raises(DegenerateTruncation):
             BoundedDoc(Exponential(1.0), 1e-301)
@@ -274,6 +297,28 @@ class TestCoupling:
 
     def test_derived_mode_rejected(self):
         m = derive_doc_law(Exponential(1.0), 2.0, SlowVaryOne(), 4.0)
+        with pytest.raises(InvalidParameter):
+            validate_coupling(m)
+
+
+class TestCouplingMode:
+    def test_derived_models_are_derived(self):
+        for channel, alpha, ell, bound in (
+                (Exponential(1.0), 2.0, SlowVaryOne(), 4.0),
+                (Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0),
+                (Exponential(2.0), 1.0, SlowVaryGammaDoc(2.0, 2.0, 2.0), math.inf)):
+            assert derive_doc_law(channel, alpha, ell, bound).mode is CouplingMode.DERIVED
+
+    def test_parametric_models_are_parametric(self):
+        for m in (model_1a(2.0), model_3(0.5, 16.0), model_4(3.0)):
+            assert m.mode is CouplingMode.PARAMETRIC
+
+    def test_mode_follows_the_document_law(self):
+        # mode is not a field: no model can carry one its document contradicts
+        assert "mode" not in {f.name for f in dataclasses.fields(CoupledModel)}
+        law = derive_doc_law(Exponential(1.0), 2.0, SlowVaryOne(), 4.0).doc.base
+        m = CoupledModel(Exponential(1.0), BoundedDoc(law, 4.0), 2.0, SlowVaryOne())
+        assert m.mode is CouplingMode.DERIVED
         with pytest.raises(InvalidParameter):
             validate_coupling(m)
 

@@ -206,6 +206,7 @@ class TestRunAndEmit:
         cfg = E.parse_config(minimal_config(
             curves=["mc", "oracle", "uniform_approx"], samples=20_000))
         rep = E.run_experiment(cfg).cases[0].report
+        assert rep.oracle_threshold == E.ORACLE_REPORT_THRESHOLD
         assert rep.ci_coverage is not None and 0.0 <= rep.ci_coverage <= 1.0
         assert rep.max_rel_err["uniform_approx"] > 0.0
         assert rep.coupling_residual == pytest.approx(0.0, abs=1e-13)
@@ -359,6 +360,16 @@ class TestCli:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("case,n,value")
         assert len(lines) == 3
+
+    def test_oracle_negative_n_exits_two_before_output(self, capsys):
+        assert cli.main(["oracle", "--preset", "example1a", "--n", "5",
+                         "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --n must be >= 0, got -1\n"
+        assert cli.main(["oracle", "--preset", "example1a", "--n", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{label},0,1,0,0,0" for label in ("b1", "b2", "b4")]
 
     def test_approx_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ks_two_sample_ints, model_4
 from retxdist import dists, mc
-from retxdist.dists import BoundedDoc, CoupledModel, CouplingMode, Exponential, SlowVaryOne
+from retxdist.dists import BoundedDoc, CoupledModel, Exponential, SlowVaryOne
 from retxdist.errors import InvalidParameter
 from retxdist.oracle import ccdf_exact
 
@@ -37,7 +37,7 @@ class _PointMassLaw:
 
 def _point_mass_model(x0, channel=Exponential(1.0)):
     return CoupledModel(channel, BoundedDoc(_PointMassLaw(x0), x0 + 1.0),
-                        1.0, SlowVaryOne(), CouplingMode.PARAMETRIC)
+                        1.0, SlowVaryOne())
 
 
 class TestRandomStream:

@@ -14,7 +14,8 @@ from retxdist import cli, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf, log_exact_integer_ccdf
 from retxdist.errors import InvalidParameter, QuadratureFailure
 from retxdist.mc import empirical_ccdf, run_tally
-from retxdist.oracle import ccdf_exact, ccdf_exact_curve
+from retxdist.oracle import OracleResult, ccdf_exact, ccdf_exact_curve
+from retxdist.quadrature import QuadResult
 
 
 class TestPointValues:
@@ -189,9 +190,11 @@ class TestInvariants:
             sigma = math.sqrt(exact * (1 - exact) / samples)
             assert abs(v - exact) <= 4 * sigma
 
-    def test_failure_on_tiny_budget(self, exp_pair_b1):
-        with pytest.raises(QuadratureFailure):
-            ccdf_exact(exp_pair_b1, 100_000, max_panels=9)
+    def test_failure_on_tiny_budget(self, exp_pair_b1, monkeypatch):
+        # the budget is read at call time
+        monkeypatch.setattr(oracle, "MAX_PANELS", 9)
+        with pytest.raises(QuadratureFailure, match=r"above target after \d+ panels$"):
+            ccdf_exact(exp_pair_b1, 100_000)
 
     def test_failure_names_n(self, exp_pair_b1, monkeypatch):
         def spent(*args, **kwargs):
@@ -200,3 +203,33 @@ class TestInvariants:
         monkeypatch.setattr(oracle, "integrate_adaptive", spent)
         with pytest.raises(QuadratureFailure, match=r"^n=74989: budget spent$"):
             ccdf_exact(exp_pair_b1, 74989)
+
+    def test_nonpositive_integral_names_its_spend(self, exp_pair_b1, monkeypatch):
+        passes = []
+
+        def negative(*args, **kwargs):
+            passes.append(kwargs["initial_edges"])
+            return QuadResult(-1e-30, 1e-40, 7, 105)
+
+        monkeypatch.setattr(oracle, "integrate_adaptive", negative)
+        with pytest.raises(QuadratureFailure, match=r"^n=5: nonpositive integral -1e-30 "
+                                                    r"after 7 panels and 105 evaluations$"):
+            ccdf_exact(exp_pair_b1, 5)
+        assert len(passes) == 1
+
+    def test_zero_integral_names_both_passes(self, exp_pair_b1, monkeypatch):
+        monkeypatch.setattr(oracle, "integrate_adaptive",
+                            lambda *args, **kwargs: QuadResult(0.0, 0.0, 3, 45))
+        with pytest.raises(QuadratureFailure, match=r"^n=5: nonpositive integral 0.0 "
+                                                    r"after 3 panels and 90 evaluations$"):
+            ccdf_exact(exp_pair_b1, 5)
+
+    def test_non_monotone_curve_names_its_spend(self, exp_pair_b1, monkeypatch):
+        def rising(m, n):
+            return OracleResult(n, 0.0, 0.0, 10 * n, -100.0 + n, 150 * n)
+
+        monkeypatch.setattr(oracle, "ccdf_exact", rising)
+        with pytest.raises(QuadratureFailure, match=r"^oracle curve not monotone at n=2: "
+                                                    r"log -98.0 after -99.0 "
+                                                    r"\(20 panels, 300 evaluations\)$"):
+            ccdf_exact_curve(exp_pair_b1, [1, 2, 3])

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod integrator checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,25 @@ def test_panel_budget_exhaustion():
     n = 250_000
     with pytest.raises(QuadratureFailure):
         integrate_adaptive(lambda u: (1.0 - u) ** n, 0.0, 1.0,
-                           rel_tol=1e-12, max_panels=9, initial_panels=8)
+                           rel_tol=1e-12, max_panels=9)
+
+
+def test_stall_names_its_spend():
+    # an integrable x^(-1/2) singularity inside the interval: the panels
+    # around it reach machine width before the error target
+    c = 0.3
+
+    def f(x):
+        d = np.abs(x - c)
+        return np.where(d > 0.0, 1.0 / np.sqrt(np.maximum(d, 1e-300)), 0.0)
+
+    with pytest.raises(QuadratureFailure) as info:
+        integrate_adaptive(f, 0.0, 1.0, rel_tol=1e-12)
+    spent = re.fullmatch(r"error \S+ stalled at machine panel width \(target \S+\) "
+                         r"after (\d+) panels and (\d+) evaluations", str(info.value))
+    assert spent is not None, str(info.value)
+    panels, evaluations = int(spent[1]), int(spent[2])
+    assert panels > 8 and evaluations % 15 == 0 and evaluations >= 15 * panels
 
 
 def test_inverted_interval_rejected():
