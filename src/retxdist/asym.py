@@ -51,7 +51,7 @@ class ApproxParams:
 
     @classmethod
     def from_model(cls, m: CoupledModel) -> "ApproxParams":
-        g = m.gbar_bound()
+        g = m.gbar_bound
         if g <= 0.0:
             raise InvalidParameter(
                 "closed forms need a finite bound (unbounded models are a "

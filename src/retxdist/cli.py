@@ -84,6 +84,14 @@ def _add_model_args(p: argparse.ArgumentParser, with_run_knobs: bool = True) -> 
                        help="run even when the coupling residual exceeds 0.05")
 
 
+def _requested_counts(args: argparse.Namespace) -> Optional[list[int]]:
+    """The repeated --n values, or None when there are none; a negative
+    count is a config error, raised before any output."""
+    if args.n and min(args.n) < 0:
+        raise ConfigInvalid(f"--n must be >= 0, got {min(args.n)}")
+    return args.n
+
+
 def _case_models(cfg: ExperimentConfig):
     for label, channel, doc_base, bound in cfg.cases():
         yield label, experiment.build_model(channel, doc_base, cfg.alpha,
@@ -129,11 +137,10 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import ccdf_exact
     cfg = _resolve_config(args)
-    if args.n and min(args.n) < 0:
-        raise ConfigInvalid(f"--n must be >= 0, got {min(args.n)}")
+    counts = _requested_counts(args)
     print("case,n,value,log_value,est_abs_err,subdivisions")
     for label, model in _case_models(cfg):
-        grid = args.n if args.n else experiment.candidate_grid(cfg, model)
+        grid = counts or experiment.candidate_grid(cfg, model)
         for n in grid:
             try:
                 r = ccdf_exact(model, n)
@@ -151,6 +158,7 @@ def _approx_kinds(ell) -> dict:
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    counts = _requested_counts(args)
     fns = _approx_kinds(cfg.ell)
     kinds = args.kind or ["uniform_approx", "power_law"]
     unknown = [k for k in kinds if k not in fns]
@@ -159,7 +167,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     print("case,n," + ",".join(kinds))
     for label, model in _case_models(cfg):
         p = asym.ApproxParams.from_model(model)
-        grid = args.n if args.n else experiment.candidate_grid(cfg, model)
+        grid = counts or experiment.candidate_grid(cfg, model)
         for n in grid:
             cells = []
             for kind in kinds:

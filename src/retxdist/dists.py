@@ -175,8 +175,6 @@ def _check_q(q: ArrayLike) -> np.ndarray:
 _GAMMA_TABLE_PANELS = 64
 _GAMMA_TABLE_MAX_PANELS = 1 << 14
 _GAMMA_TABLE_TOL = 1e-12
-# Values per evaluation block; keeps the temporaries in cache.
-_GAMMA_TABLE_BLOCK = 1 << 13
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,7 +224,8 @@ class _GammaQuantileTable:
     None unless every panel midpoint of both parts is within
     _GAMMA_TABLE_TOL relative of the same reference.
 
-    Calls take a 1-d array of uniforms and evaluate it in blocks.
+    Calls take a 1-d array of uniforms and evaluate it in one pass; Monte
+    Carlo hands it one tile at a time, which keeps its temporaries in cache.
     """
 
     def __init__(self, doc: "BoundedDoc", t_lo: float, t_hi: float, parts: list) -> None:
@@ -289,12 +288,6 @@ class _GammaQuantileTable:
         return table
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        out = np.empty(len(u))
-        for lo in range(0, len(u), _GAMMA_TABLE_BLOCK):
-            out[lo:lo + _GAMMA_TABLE_BLOCK] = self._block(u[lo:lo + _GAMMA_TABLE_BLOCK])
-        return out
-
-    def _block(self, u: np.ndarray) -> np.ndarray:
         p = u * self.doc.cdf_at_bound
         upper = p > 0.5
         pos = np.power(p, self.inv_shape, out=p)
@@ -643,16 +636,23 @@ class CouplingReport:
 
 @dataclass(frozen=True)
 class CoupledModel:
-    """Channel law plus bounded document tied by hazard proportionality."""
+    """Channel law plus bounded document tied by hazard proportionality.
+
+    gbar_bound is the channel survival Gbar(bound), evaluated once here;
+    0 for an unbounded document.
+    """
 
     channel: Law
     doc: BoundedDoc
     alpha: float
     ell: SlowVary
+    gbar_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
             raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
+        object.__setattr__(self, "gbar_bound", 0.0 if math.isinf(self.bound)
+                           else float(self.channel.ccdf(self.bound)))
 
     @property
     def bound(self) -> float:
@@ -668,10 +668,6 @@ class CoupledModel:
     def parametric(cls, channel: Law, doc_base: Law, alpha: float,
                    ell: SlowVary, bound: float) -> "CoupledModel":
         return cls(channel, BoundedDoc(doc_base, bound), alpha, ell)
-
-    def gbar_bound(self) -> float:
-        """Channel survival probability at the document bound."""
-        return 0.0 if math.isinf(self.bound) else float(self.channel.ccdf(self.bound))
 
 
 def validate_coupling(m: CoupledModel) -> CouplingReport:

@@ -13,6 +13,14 @@ Streams are Philox counter-based: (seed, stream_id) is the key, so
 distinct stream ids give independent sequences and the same pair always
 reproduces bit-identical output regardless of scheduling.
 
+A stream is drawn in chunks of _CHUNK samples: all of a chunk's document
+uniforms, then all of its geometric uniforms. Inside a chunk both phases
+run in tiles of _TILE samples. Philox doubles come out in sequence, so a
+chunk drawn tile by tile sees the same uniforms in the same roles as one
+drawn whole. The working set is one chunk of success probabilities plus
+a few tile-sized temporaries that stay in cache, and a tally adds one
+bincount per tile.
+
 A run ends in a Tally of exceedance counts over a grid; empirical_ccdf
 turns it into the three Monte Carlo columns of a case table.
 """
@@ -32,6 +40,8 @@ from .dists import CoupledModel, sampling_quantile
 from .errors import InvalidParameter
 
 _CHUNK = 1 << 19
+# Samples per tile inside a chunk: a tile's temporaries stay in cache.
+_TILE = 1 << 14
 _N_CAP = 1 << 62
 _SURE_SUCCESS = 1.0 - 1e-15
 
@@ -146,6 +156,12 @@ def _geometric_counts(p: np.ndarray, u_geo: np.ndarray) -> np.ndarray:
     return n.astype(np.int64)
 
 
+def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with the next len(out) uniforms of gen, mapped to (0, 1]."""
+    gen.random(out=out)
+    return np.subtract(1.0, out, out=out)
+
+
 def _batch_counts(m: CoupledModel, quantile: Callable[[np.ndarray], np.ndarray],
                   gen: np.random.Generator, size: int) -> np.ndarray:
     """One vectorized block of retransmission counts.
@@ -153,21 +169,31 @@ def _batch_counts(m: CoupledModel, quantile: Callable[[np.ndarray], np.ndarray],
     quantile maps the block's document uniforms to sizes; the geometric
     uniforms are drawn after it, into the same buffer.
     """
-    u = gen.random(size)
-    np.subtract(1.0, u, out=u)
+    u = _uniforms(gen, np.empty(size))
     p = np.asarray(m.channel.ccdf(quantile(u)), dtype=float)
-    gen.random(size, out=u)
-    np.subtract(1.0, u, out=u)
-    return _geometric_counts(p, u)
+    return _geometric_counts(p, _uniforms(gen, u))
 
 
 def _count_chunks(m: CoupledModel, gen: np.random.Generator,
                   size: int) -> Iterator[np.ndarray]:
-    """size retransmission counts in blocks of at most _CHUNK, every block
-    drawn through one sampling_quantile of the document."""
+    """size retransmission counts, yielded one tile at a time; every
+    document is drawn through one sampling_quantile of m.doc.
+
+    The uniforms and their roles are those of consecutive _batch_counts
+    blocks of _CHUNK samples; both phases of a chunk run tile by tile
+    through one reused buffer, and the chunk's success probabilities p are
+    its only chunk-length array.
+    """
     quantile = sampling_quantile(m.doc)
+    p = np.empty(min(_CHUNK, size))
+    tile = np.empty(min(_TILE, size))
     for done in range(0, size, _CHUNK):
-        yield _batch_counts(m, quantile, gen, min(_CHUNK, size - done))
+        chunk = min(_CHUNK, size - done)
+        tiles = [(lo, min(lo + _TILE, chunk)) for lo in range(0, chunk, _TILE)]
+        for lo, hi in tiles:
+            p[lo:hi] = m.channel.ccdf(quantile(_uniforms(gen, tile[:hi - lo])))
+        for lo, hi in tiles:
+            yield _geometric_counts(p[lo:hi], _uniforms(gen, tile[:hi - lo]))
 
 
 def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
@@ -184,15 +210,14 @@ def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
 
 def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
                   seed: int, stream_id: int) -> Tally:
-    """Tally one worker stream; chunked so memory stays bounded."""
+    """Tally one worker stream, tile by tile, so memory stays bounded."""
     grid_arr = np.asarray(list(grid), dtype=np.int64)
-    exceed = np.zeros(len(grid_arr), dtype=np.int64)
+    bins = np.zeros(len(grid_arr) + 1, dtype=np.int64)
     for n in _count_chunks(m, RandomStream(seed, stream_id).generator, quota):
-        idx = np.searchsorted(grid_arr, n, side="left")
-        bc = np.bincount(idx, minlength=len(grid_arr) + 1)
-        # exceed[i] counts samples with n > grid[i]: all bucket indices > i.
-        suffix = np.cumsum(bc[::-1])[::-1]
-        exceed += suffix[1:]
+        bins += np.bincount(np.searchsorted(grid_arr, n, side="left"),
+                            minlength=len(bins))
+    # exceed[i] counts samples with n > grid[i]: all bin indices > i.
+    exceed = np.cumsum(bins[::-1])[::-1][1:]
     return Tally(tuple(int(g) for g in grid_arr),
                  tuple(int(c) for c in exceed), quota)
 

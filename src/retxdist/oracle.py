@@ -92,7 +92,7 @@ def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
     if n == 0:
         return OracleResult(0, 1.0, 0.0, 0, 0.0)
 
-    log_peak = n * math.log1p(-m.gbar_bound())
+    log_peak = n * math.log1p(-m.gbar_bound)
     c = _log_survival_map(m)
 
     def integrand(v: np.ndarray) -> np.ndarray:

@@ -301,6 +301,21 @@ class TestCoupling:
             validate_coupling(m)
 
 
+class TestCoupledModel:
+    @pytest.mark.parametrize("channel,bound", [
+        (Exponential(1.0), 1.0), (Exponential(2.0), 3.0), (Weibull(0.5, 2.0), 8.0),
+        (Weibull(2.0, 2.0), 0.7)])
+    def test_gbar_bound_is_the_channel_survival(self, channel, bound):
+        m = CoupledModel.parametric(channel, Exponential(1.0), 1.0, SlowVaryOne(), bound)
+        assert type(m.gbar_bound) is float
+        assert m.gbar_bound.hex() == float(channel.ccdf(bound)).hex()
+
+    def test_gbar_bound_of_unbounded_model(self):
+        m = CoupledModel.parametric(Exponential(1.0), Exponential(1.0), 1.0,
+                                    SlowVaryOne(), math.inf)
+        assert m.gbar_bound == 0.0
+
+
 class TestCouplingMode:
     def test_derived_models_are_derived(self):
         for channel, alpha, ell, bound in (

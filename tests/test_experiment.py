@@ -371,6 +371,13 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[1:] == [
             f"{label},0,1,0,0,0" for label in ("b1", "b2", "b4")]
 
+    def test_approx_negative_n_exits_two_before_output(self, capsys):
+        assert cli.main(["approx", "--preset", "example1a", "--n", "5",
+                         "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --n must be >= 0, got -1\n"
+
     def test_approx_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_config()))

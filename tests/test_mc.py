@@ -1,13 +1,15 @@
 """Monte Carlo sampler and tally checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ks_two_sample_ints, model_4
+from conftest import ks_two_sample_ints, model_1a, model_3, model_4
 from retxdist import dists, mc
-from retxdist.dists import BoundedDoc, CoupledModel, Exponential, SlowVaryOne
+from retxdist.dists import (BoundedDoc, CoupledModel, Exponential, SlowVaryLogPower,
+                            SlowVaryOne, Weibull, derive_doc_law)
 from retxdist.errors import InvalidParameter
 from retxdist.oracle import ccdf_exact
 
@@ -185,6 +187,49 @@ class TestGammaDocuments:
         exact = mc._batch_counts(m, m.doc.quantile_from_uniform,
                                  mc.RandomStream(15).generator, 100_000)
         assert np.count_nonzero(table != exact) <= 2
+
+
+# One model per document family: exponential, Weibull, the certified gamma
+# table, and a derived law with a log_power ell.
+_FAMILY_MODELS = {
+    "exponential": lambda: model_1a(1.0),
+    "weibull": lambda: model_3(0.5, 2.0),
+    "gamma_table": lambda: model_4(3.0),
+    "derived_log_power": lambda: derive_doc_law(
+        Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0),
+}
+_TILED_QUOTA = 2 * mc._CHUNK + 7
+
+
+class TestTiledCounts:
+    @pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
+    def test_draw_order_is_that_of_whole_chunks(self, family):
+        # the reference draws consecutive _CHUNK-sample blocks, each all its
+        # document uniforms and then all its geometric uniforms
+        m = _FAMILY_MODELS[family]()
+        gen = mc.RandomStream(41, 3).generator
+        quantile = dists.sampling_quantile(m.doc)
+        assert isinstance(quantile, dists._GammaQuantileTable) == (family == "gamma_table")
+        want = np.concatenate([
+            mc._batch_counts(m, quantile, gen, min(mc._CHUNK, _TILED_QUOTA - done))
+            for done in range(0, _TILED_QUOTA, mc._CHUNK)])
+        got = mc.sample_N_batch(m, mc.RandomStream(41, 3), _TILED_QUOTA)
+        assert np.array_equal(got, want)
+        grid = [0, 1, 2, 3, 5, 10, 30, 100, 1000, 10**6]
+        tally = mc._stream_tally(m, grid, _TILED_QUOTA, 41, 3)
+        assert tally.exceed_counts == tuple(int(np.count_nonzero(want > n))
+                                            for n in grid)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
+    def test_working_set_below_two_chunks(self, family):
+        m = _FAMILY_MODELS[family]()
+        tracemalloc.start()
+        try:
+            mc._stream_tally(m, [1, 2, 5, 10], _TILED_QUOTA, 41, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * mc._CHUNK * 8
 
 
 class TestRunTally:

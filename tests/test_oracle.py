@@ -170,7 +170,7 @@ class TestInvariants:
     def test_geometric_mixture_ratio_bound(self, model_fn, bound):
         # successive ratios cannot exceed the best per-attempt survival 1 - Gbar(b)
         m = model_fn(bound)
-        top = 1.0 - m.gbar_bound()
+        top = 1.0 - m.gbar_bound
         prev = ccdf_exact(m, 1)
         for n in range(2, 40):
             cur = ccdf_exact(m, n)
