@@ -225,7 +225,7 @@ class _GammaQuantileTable:
     _GAMMA_TABLE_TOL relative of the same reference.
 
     Calls take a 1-d array of uniforms and evaluate it in one pass; Monte
-    Carlo hands it one tile at a time, which keeps its temporaries in cache.
+    Carlo hands it one block at a time, which keeps its temporaries in cache.
     """
 
     def __init__(self, doc: "BoundedDoc", t_lo: float, t_hi: float, parts: list) -> None:

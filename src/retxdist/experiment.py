@@ -480,10 +480,6 @@ class RunResult:
     config: ExperimentConfig
     cases: tuple[CaseResult, ...]
 
-    @property
-    def reports(self) -> list[ComparisonReport]:
-        return [case.report for case in self.cases]
-
 
 def build_model(channel: Law, doc_base: Optional[Law], alpha: float,
                 ell: SlowVary, bound: float) -> CoupledModel:

@@ -13,13 +13,11 @@ Streams are Philox counter-based: (seed, stream_id) is the key, so
 distinct stream ids give independent sequences and the same pair always
 reproduces bit-identical output regardless of scheduling.
 
-A stream is drawn in chunks of _CHUNK samples: all of a chunk's document
-uniforms, then all of its geometric uniforms. Inside a chunk both phases
-run in tiles of _TILE samples. Philox doubles come out in sequence, so a
-chunk drawn tile by tile sees the same uniforms in the same roles as one
-drawn whole. The working set is one chunk of success probabilities plus
-a few tile-sized temporaries that stay in cache, and a tally adds one
-bincount per tile.
+A stream is drawn in blocks of _BLOCK samples: all of a block's document
+uniforms, then all of its geometric uniforms. A block is self-contained,
+so the first k whole blocks of a stream are the same whatever its length,
+and the working set is a few block-sized temporaries that stay in cache;
+a tally adds one bincount per block.
 
 A run ends in a Tally of exceedance counts over a grid; empirical_ccdf
 turns it into the three Monte Carlo columns of a case table.
@@ -39,9 +37,8 @@ from scipy.special import ndtri
 from .dists import CoupledModel, sampling_quantile
 from .errors import InvalidParameter
 
-_CHUNK = 1 << 19
-# Samples per tile inside a chunk: a tile's temporaries stay in cache.
-_TILE = 1 << 14
+# Samples per draw block: a block's temporaries stay in cache.
+_BLOCK = 1 << 14
 _N_CAP = 1 << 62
 _SURE_SUCCESS = 1.0 - 1e-15
 
@@ -70,9 +67,6 @@ class RandomStream:
 
     def uniforms(self, size: int) -> np.ndarray:
         return 1.0 - self.generator.random(size)
-
-    def substream(self, stream_id: int) -> "RandomStream":
-        return RandomStream(self.seed, stream_id)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -174,46 +168,40 @@ def _batch_counts(m: CoupledModel, quantile: Callable[[np.ndarray], np.ndarray],
     return _geometric_counts(p, _uniforms(gen, u))
 
 
-def _count_chunks(m: CoupledModel, gen: np.random.Generator,
+def _count_blocks(m: CoupledModel, gen: np.random.Generator,
                   size: int) -> Iterator[np.ndarray]:
-    """size retransmission counts, yielded one tile at a time; every
-    document is drawn through one sampling_quantile of m.doc.
+    """size retransmission counts, yielded one _BLOCK-sample block at a time.
 
-    The uniforms and their roles are those of consecutive _batch_counts
-    blocks of _CHUNK samples; both phases of a chunk run tile by tile
-    through one reused buffer, and the chunk's success probabilities p are
-    its only chunk-length array.
+    Each block is one _batch_counts call, so it draws all its document
+    uniforms and then all its geometric uniforms; every document is drawn
+    through one sampling_quantile of m.doc.
     """
     quantile = sampling_quantile(m.doc)
-    p = np.empty(min(_CHUNK, size))
-    tile = np.empty(min(_TILE, size))
-    for done in range(0, size, _CHUNK):
-        chunk = min(_CHUNK, size - done)
-        tiles = [(lo, min(lo + _TILE, chunk)) for lo in range(0, chunk, _TILE)]
-        for lo, hi in tiles:
-            p[lo:hi] = m.channel.ccdf(quantile(_uniforms(gen, tile[:hi - lo])))
-        for lo, hi in tiles:
-            yield _geometric_counts(p[lo:hi], _uniforms(gen, tile[:hi - lo]))
+    for done in range(0, size, _BLOCK):
+        yield _batch_counts(m, quantile, gen, min(_BLOCK, size - done))
 
 
 def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
     """Vectorized retransmission counts, same law as sample_N.
 
-    Uses a batched draw discipline (all document draws, then all geometric
-    draws, per internal chunk), so it consumes the stream in a different
-    order than repeated sample_N calls while remaining fully deterministic
-    for a given stream. Documents are drawn through sampling_quantile.
+    Draws the stream in _BLOCK-sample blocks, each all its document draws
+    and then all its geometric draws, so it consumes the stream in a
+    different order than repeated sample_N calls while remaining fully
+    deterministic for a given stream. A quota of k whole blocks is a prefix
+    of any longer quota on the same stream. Documents are drawn through
+    sampling_quantile.
     """
-    parts = list(_count_chunks(m, rng.generator, size))
-    return np.concatenate(parts) if len(parts) != 1 else parts[0]
+    if size < 1:
+        raise InvalidParameter(f"size must be >= 1, got {size}")
+    return np.concatenate(list(_count_blocks(m, rng.generator, size)))
 
 
 def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
                   seed: int, stream_id: int) -> Tally:
-    """Tally one worker stream, tile by tile, so memory stays bounded."""
+    """Tally one worker stream, block by block, so memory stays bounded."""
     grid_arr = np.asarray(list(grid), dtype=np.int64)
     bins = np.zeros(len(grid_arr) + 1, dtype=np.int64)
-    for n in _count_chunks(m, RandomStream(seed, stream_id).generator, quota):
+    for n in _count_blocks(m, RandomStream(seed, stream_id).generator, quota):
         bins += np.bincount(np.searchsorted(grid_arr, n, side="left"),
                             minlength=len(bins))
     # exceed[i] counts samples with n > grid[i]: all bin indices > i.

@@ -58,10 +58,6 @@ class TestRandomStream:
         u = mc.RandomStream(9).uniforms(100_000)
         assert np.all(u > 0.0) and np.all(u <= 1.0)
 
-    def test_substream(self):
-        s = mc.RandomStream(5).substream(7)
-        assert (s.seed, s.stream_id) == (5, 7)
-
 
 class TestSampleN:
     def test_degenerate_half_probability(self):
@@ -198,38 +194,45 @@ _FAMILY_MODELS = {
     "derived_log_power": lambda: derive_doc_law(
         Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0),
 }
-_TILED_QUOTA = 2 * mc._CHUNK + 7
+_BLOCKS_QUOTA = 2 * mc._BLOCK + 7
 
 
-class TestTiledCounts:
+class TestBlockCounts:
     @pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
-    def test_draw_order_is_that_of_whole_chunks(self, family):
-        # the reference draws consecutive _CHUNK-sample blocks, each all its
+    def test_draw_order_is_that_of_whole_blocks(self, family):
+        # the reference draws consecutive _BLOCK-sample blocks, each all its
         # document uniforms and then all its geometric uniforms
         m = _FAMILY_MODELS[family]()
         gen = mc.RandomStream(41, 3).generator
         quantile = dists.sampling_quantile(m.doc)
         assert isinstance(quantile, dists._GammaQuantileTable) == (family == "gamma_table")
         want = np.concatenate([
-            mc._batch_counts(m, quantile, gen, min(mc._CHUNK, _TILED_QUOTA - done))
-            for done in range(0, _TILED_QUOTA, mc._CHUNK)])
-        got = mc.sample_N_batch(m, mc.RandomStream(41, 3), _TILED_QUOTA)
+            mc._batch_counts(m, quantile, gen, min(mc._BLOCK, _BLOCKS_QUOTA - done))
+            for done in range(0, _BLOCKS_QUOTA, mc._BLOCK)])
+        got = mc.sample_N_batch(m, mc.RandomStream(41, 3), _BLOCKS_QUOTA)
         assert np.array_equal(got, want)
         grid = [0, 1, 2, 3, 5, 10, 30, 100, 1000, 10**6]
-        tally = mc._stream_tally(m, grid, _TILED_QUOTA, 41, 3)
+        tally = mc._stream_tally(m, grid, _BLOCKS_QUOTA, 41, 3)
         assert tally.exceed_counts == tuple(int(np.count_nonzero(want > n))
                                             for n in grid)
 
+    @pytest.mark.parametrize("family", ["exponential", "gamma_table"])
+    def test_whole_blocks_are_a_prefix_of_longer_quotas(self, family):
+        m = _FAMILY_MODELS[family]()
+        short = mc.sample_N_batch(m, mc.RandomStream(43, 1), 2 * mc._BLOCK)
+        long = mc.sample_N_batch(m, mc.RandomStream(43, 1), 5 * mc._BLOCK + 7)
+        assert np.array_equal(short, long[:short.size])
+
     @pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
-    def test_working_set_below_two_chunks(self, family):
+    def test_working_set_below_4_mib(self, family):
         m = _FAMILY_MODELS[family]()
         tracemalloc.start()
         try:
-            mc._stream_tally(m, [1, 2, 5, 10], _TILED_QUOTA, 41, 0)
+            mc._stream_tally(m, [1, 2, 5, 10], (1 << 20) + 7, 41, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * mc._CHUNK * 8
+        assert peak < 4 << 20
 
 
 class TestRunTally:
@@ -285,6 +288,9 @@ class TestRunTally:
     def test_validation(self, exp_pair_b1):
         with pytest.raises(InvalidParameter):
             mc.run_tally(exp_pair_b1, [1], 0, seed=1)
+        for size in (0, -3):
+            with pytest.raises(InvalidParameter):
+                mc.sample_N_batch(exp_pair_b1, mc.RandomStream(1), size)
         with pytest.raises(InvalidParameter):
             mc.run_tally(exp_pair_b1, [1], 10, seed=1, workers=0)
 
