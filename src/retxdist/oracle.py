@@ -1,26 +1,22 @@
 """Ground-truth retransmission CCDF by high-accuracy quadrature.
 
-The retransmission count is geometric given the document size, so
+Given the document, the retransmission count is geometric with success
+probability W = Gbar(L_b) in [g, 1], g = Gbar(b), so P[N_b > n] =
+E[(1 - W)^n]. W has distribution function H(w), the bounded-document
+survival at the channel quantile of w. By parts, with w = g + (1 - g) y,
 
-    P[N_b > n] = E[(1 - Gbar(L_b))^n]
-               = int_0^1 (1 - Gbar(X(v)))^n dv,
+    P[N_b > n] = n (1 - g)^n int_0^1 (1 - y)^(n-1) H(g + (1 - g) y) dy.
 
-where X(v) is the truncated document quantile written in survival form:
-X(v) solves Fbar(X) = Fbar(b) + v F(b). The substitution makes the
-measure uniform and the integrand bounded, needs no density (so derived
-document laws integrate exactly like parametric ones), and parameterizes
-the integrand by its survival argument directly, which avoids the
-catastrophic cancellation that 1 - u F(b) would suffer near the bound.
+H calls no document quantile, so the oracle shares no law method with
+Monte Carlo (document quantile, then channel ccdf). The factor
+(1 - g)^n is taken out exactly, which keeps log values exact far below
+float underflow (deep tails reach e^-4000 and below).
 
-The integrand's mass concentrates at v = 0 in a layer whose width shrinks
-like 1/(n Gbar(b)'); the integrator is seeded with geometric panel edges
-so every layer scale is sampled before adaptive refinement starts. The
-edges reach down to 1e-12; an integral that comes out exactly 0 there (a
-narrower layer, underflowing at every node) is redone once from edges
-reaching down to 1e-300. The integrand is always factored against its
-maximum (1 - Gbar(b))^n so the result carries an exact log value even
-when the linear probability underflows (deep tails reach e^-4000 and
-below).
+The weight's mass lies in a layer of width 1/n at y = 0, and H varies on
+the scale g there. Seed panel edges ascend geometrically from a quarter
+of the smaller scale up to 1, so every scale is sampled before adaptive
+refinement starts. A log_power ell is clamped at x_min, which kinks H at
+w = 1/x_min; that point is one more edge.
 
 Evaluations are pure; concurrent evaluation over grid points is safe.
 """
@@ -33,21 +29,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dists import CoupledModel
+from .dists import CoupledModel, SlowVaryLogPower
 from .errors import InvalidParameter, QuadratureFailure
 from .quadrature import integrate_adaptive
 
 REL_TOL = 5e-13
 MAX_PANELS = 1_000_000
 
-# Geometric seed edges: resolve boundary layers down to width 1e-12
-# before refinement; [0, 1e-12] is then split adaptively if needed.
-_SEED_EDGES = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 25)])
-# Retry edges for an integral that came out exactly 0: a layer narrower
-# than 1e-12 underflows at every node of the first seed panel, so the
-# first pass sees nothing to refine. Two edges per decade, as above;
-# coarser edges let a layer fall between the nodes of one wide panel.
-_DEEP_SEED_EDGES = np.concatenate([[0.0], np.geomspace(1e-300, 1.0, 601)])
+# Geometric seed edges per decade of y; fewer leave layers to refinement
+# rounds, each one more integrand pass.
+_EDGES_PER_DECADE = 6
 
 
 @dataclass(frozen=True)
@@ -67,21 +58,16 @@ class OracleResult:
     evaluations: int = 0
 
 
-def _log_survival_map(m: CoupledModel):
-    """v in [0, 1] -> log(1 - Gbar(X(v))), X(v) the survival-form quantile."""
-    base = m.doc.base
-    channel = m.channel
-    fbar_b = m.doc.ccdf_at_bound
-    f_b = m.doc.cdf_at_bound
-
-    def log_one_minus_p(v: np.ndarray) -> np.ndarray:
-        q = np.minimum(fbar_b + np.asarray(v, dtype=float) * f_b, 1.0)
-        x = base.quantile_ccdf(q)
-        p = np.minimum(np.asarray(channel.ccdf(x), dtype=float), 1.0)
-        with np.errstate(divide="ignore"):
-            return np.log1p(-p)
-
-    return log_one_minus_p
+def _seed_edges(m: CoupledModel, n: int) -> np.ndarray:
+    """Panel edges in y: 0, then geometric from a quarter of min(1/n, g)
+    (of 1/n when g = 0) up to 1, plus the kink of a log_power ell."""
+    g = m.gbar_bound
+    y0 = 0.25 * (min(1.0 / n, g) if g > 0.0 else 1.0 / n)
+    edges = [0.0, *np.geomspace(y0, 1.0, math.ceil(-_EDGES_PER_DECADE * math.log10(y0)) + 1)]
+    if isinstance(m.ell, SlowVaryLogPower):
+        edges.append((1.0 / m.ell.x_min - g) / (1.0 - g))
+    # a bound below the kink puts it at w <= g, which clips onto the edge 0
+    return np.unique(np.clip(edges, 0.0, 1.0))
 
 
 def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
@@ -92,30 +78,25 @@ def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
     if n == 0:
         return OracleResult(0, 1.0, 0.0, 0, 0.0)
 
-    log_peak = n * math.log1p(-m.gbar_bound)
-    c = _log_survival_map(m)
+    g = m.gbar_bound
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return np.exp(np.minimum(n * c(v) - log_peak, 0.0))
+    def integrand(y: np.ndarray) -> np.ndarray:
+        x = m.channel.quantile_ccdf(g + (1.0 - g) * y)
+        return np.exp((n - 1) * np.log1p(-y)) * m.doc.ccdf(x)
 
-    evaluations = 0
     try:
-        for edges in (_SEED_EDGES, _DEEP_SEED_EDGES):
-            quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=REL_TOL,
-                                      max_panels=MAX_PANELS, initial_edges=edges)
-            evaluations += quad.evaluations
-            if quad.value != 0.0:
-                break
+        quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=REL_TOL,
+                                  max_panels=MAX_PANELS, initial_edges=_seed_edges(m, n))
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"n={n}: {exc}") from exc
     if quad.value <= 0.0:
         raise QuadratureFailure(
             f"n={n}: nonpositive integral {quad.value} after {quad.panels} panels "
-            f"and {evaluations} evaluations")
-    log_value = log_peak + math.log(quad.value)
+            f"and {quad.evaluations} evaluations")
+    log_value = math.log(n) + n * math.log1p(-g) + math.log(quad.value)
     value = math.exp(log_value) if log_value > -745.0 else 0.0
     est_abs_err = value * (quad.abs_err / quad.value)
-    return OracleResult(n, value, est_abs_err, quad.panels, log_value, evaluations)
+    return OracleResult(n, value, est_abs_err, quad.panels, log_value, quad.evaluations)
 
 
 def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,

@@ -1,6 +1,9 @@
 """Shared fixtures and statistical helpers for the test suite."""
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,13 @@ from retxdist.dists import (
     Exponential,
     Gamma,
     SlowVaryGammaDoc,
+    SlowVaryLogPower,
     SlowVaryOne,
     Weibull,
+    derive_doc_law,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def ks_statistic(samples, cdf):
@@ -63,6 +70,12 @@ def model_4(bound):
                                    SlowVaryGammaDoc(2.0, 2.0, 2.0), bound)
 
 
+def model_log_power(bound):
+    """Derived documents on a Weibull(0.5, 1) channel; alpha 1.5 and
+    ell(y) = log y, clamped below y = e."""
+    return derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), bound)
+
+
 @pytest.fixture(scope="session")
 def exp_pair_b1():
     return model_1a(1.0)
@@ -77,3 +90,20 @@ def exp_pair_b2():
 def exp_pair_unbounded():
     return CoupledModel.parametric(Exponential(1.0), Exponential(1.0),
                                    1.0, SlowVaryOne(), math.inf)
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Import perfbench modules by name, read-only: no bytecode is written
+    into perfbench/, and the modules are dropped again afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    loaded = []
+
+    def load(name):
+        loaded.append(name)
+        return importlib.import_module(name)
+
+    yield load
+    for name in loaded:
+        sys.modules.pop(name, None)

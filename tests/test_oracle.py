@@ -2,16 +2,17 @@
 
 The oracle is validated against routes it does not share code with: the
 uniform-transform identity (unbounded unit-index models), the
-integer-index finite sum, and Monte Carlo.
+integer-index finite sum, mpmath references and Monte Carlo.
 """
 
 import math
 
 import pytest
 
-from conftest import model_1a, model_3, model_4
-from retxdist import cli, oracle
+from conftest import model_1a, model_3, model_4, model_log_power
+from retxdist import cli, experiment, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf, log_exact_integer_ccdf
+from retxdist.dists import BoundedDoc, CoupledModel, SlowVaryOne
 from retxdist.errors import InvalidParameter, QuadratureFailure
 from retxdist.mc import empirical_ccdf, run_tally
 from retxdist.oracle import OracleResult, ccdf_exact, ccdf_exact_curve
@@ -51,6 +52,18 @@ class TestPointValues:
         with pytest.raises(InvalidParameter):
             ccdf_exact(exp_pair_b2, -1)
 
+    def test_log_power_matches_reference(self, perfbench):
+        # ell's clamp at x_min kinks H at w = 1/e, inside [g, 1]
+        pytest.importorskip("mpmath")
+        reference = perfbench("reference")
+        spec = reference.CaseSpec("b16", {"family": "weibull", "index": 0.5, "scale": 1.0},
+                                  None, 16.0, 1.5,
+                                  {"kind": "log_power", "coeff": 1.0, "exponent": 1.0})
+        m = model_log_power(16.0)
+        for n in range(1, 5):
+            ref = reference.log_ccdf(spec, n)
+            assert abs(ccdf_exact(m, n).log_value - ref) <= oracle.REL_TOL, n
+
 
 class TestDeepTail:
     def test_log_value_matches_closed_form(self, exp_pair_b1):
@@ -67,8 +80,9 @@ class TestDeepTail:
         assert math.log(res.value) == pytest.approx(res.log_value, rel=1e-12)
 
     def test_cusp_at_zero_resolved(self):
-        # example3 k2_b8: alpha = 4 puts a v^(1/4) cusp at v = 0 that needs
-        # panels narrower than any absolute width floor
+        # example3 k2_b8: alpha = 4 gave the document-quantile integrand a
+        # v^(1/4) cusp at v = 0; in y, H rises linearly from 0 on the scale
+        # g = e^-16, a layer far narrower than the 1/n one of the weight
         m = model_3(2.0, 2.0)
         p = ApproxParams.from_model(m)
         logs = [ccdf_exact(m, n).log_value for n in (178, 1_000, 10_000)]
@@ -77,9 +91,9 @@ class TestDeepTail:
         for n, v in zip((178, 1_000, 10_000), logs):
             assert v == pytest.approx(log_exact_integer_ccdf(p, n), rel=1e-10)
 
-    def test_sub_1e12_layer_retried_deeper(self, capsys):
-        # example3 k2_b8 from n ~ 2.9e6 on: the mass lies at v below 1e-22,
-        # so every node of the first seed panel [0, 1e-12] underflows
+    def test_k2_b8_auto_grid_matches_beta(self, capsys):
+        # example3 k2_b8 runs to n ~ 7.3e9, where the 1/n layer is 1e-10 wide
+        # and P ~ 1e-385; the seed edges reach below both 1/n and g = e^-16
         mpmath = pytest.importorskip("mpmath")
         assert cli.main(["oracle", "--preset", "example3"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
@@ -96,24 +110,51 @@ class TestDeepTail:
                                        / (1 - g ** 4)))
                 assert abs(tail[n] - ref) <= 1e-9, n
 
-    def test_retry_only_after_exact_zero(self, monkeypatch):
-        passes = []
+    def test_no_document_quantile(self, monkeypatch):
+        # the oracle maps through the channel quantile and the document
+        # survival only, so it shares no law method with Monte Carlo
+        class NoQuantile:
+            def __init__(self, law):
+                self.law = law
 
-        def counted(*args, **kwargs):
-            quad = integrate(*args, **kwargs)
-            passes.append((len(kwargs["initial_edges"]), quad.value, quad.evaluations))
-            return quad
+            def __getattr__(self, name):
+                if name.startswith("quantile"):
+                    raise AssertionError(f"document {name} called")
+                return getattr(self.law, name)
 
-        integrate = oracle.integrate_adaptive
-        monkeypatch.setattr(oracle, "integrate_adaptive", counted)
-        m = model_3(2.0, 2.0)
-        one = ccdf_exact(m, 10_000)
-        assert [(e, v > 0.0) for e, v, _ in passes] == [(26, True)]
-        assert one.evaluations == passes[0][2]
-        passes.clear()
-        deep = ccdf_exact(m, 7_251_749_900)
-        assert [(e, v > 0.0) for e, v, _ in passes] == [(26, False), (602, True)]
-        assert deep.evaluations == passes[0][2] + passes[1][2]
+        def refuse(*args, **kwargs):
+            raise AssertionError("document quantile_from_uniform called")
+
+        models = [model_1a(1.0), model_4(2.0), model_log_power(16.0)]
+        expected = [[ccdf_exact(m, n).log_value for n in (1, 10, 1000)] for m in models]
+        monkeypatch.setattr(BoundedDoc, "quantile_from_uniform", refuse)
+        for m, want in zip(models, expected):
+            bare = CoupledModel(m.channel, BoundedDoc(NoQuantile(m.doc.base), m.bound),
+                                m.alpha, m.ell)
+            assert [ccdf_exact(bare, n).log_value for n in (1, 10, 1000)] == want
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", experiment.preset_names()
+                             + ["derived-exp", "derived-weibull"])
+    def test_auto_grid(self, perfbench, name):
+        # every case over its whole auto candidate grid, deep tails included
+        workloads = perfbench("workloads")
+        derived = {c["name"]: c for c in (workloads.DERIVED_EXPONENTIAL,
+                                          workloads.DERIVED_WEIBULL)}
+        cfg = (experiment.parse_config(dict(derived[name])) if name in derived
+               else experiment.preset(name))
+        for label, channel, doc, bound in cfg.cases():
+            m = experiment.build_model(channel, doc, cfg.alpha, cfg.ell, bound)
+            grid = experiment.candidate_grid(cfg, m)
+            logs = [ccdf_exact(m, n).log_value for n in grid]
+            assert all(math.isfinite(v) for v in logs), label
+            assert all(b <= a for a, b in zip(logs, logs[1:])), label
+            if isinstance(m.ell, SlowVaryOne) and float(m.alpha).is_integer():
+                p = ApproxParams.from_model(m)
+                for n, v in zip(grid, logs):
+                    ref = log_exact_integer_ccdf(p, n)
+                    assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref)), (label, n)
 
 
 class TestCurves:
@@ -204,25 +245,20 @@ class TestInvariants:
         with pytest.raises(QuadratureFailure, match=r"^n=74989: budget spent$"):
             ccdf_exact(exp_pair_b1, 74989)
 
-    def test_nonpositive_integral_names_its_spend(self, exp_pair_b1, monkeypatch):
+    @pytest.mark.parametrize("integral", [0.0, -1e-30])
+    def test_nonpositive_integral_names_its_spend(self, exp_pair_b1, monkeypatch,
+                                                  integral):
         passes = []
 
-        def negative(*args, **kwargs):
+        def nonpositive(*args, **kwargs):
             passes.append(kwargs["initial_edges"])
-            return QuadResult(-1e-30, 1e-40, 7, 105)
+            return QuadResult(integral, 0.0, 3, 45)
 
-        monkeypatch.setattr(oracle, "integrate_adaptive", negative)
-        with pytest.raises(QuadratureFailure, match=r"^n=5: nonpositive integral -1e-30 "
-                                                    r"after 7 panels and 105 evaluations$"):
+        monkeypatch.setattr(oracle, "integrate_adaptive", nonpositive)
+        with pytest.raises(QuadratureFailure, match=rf"^n=5: nonpositive integral {integral} "
+                                                    r"after 3 panels and 45 evaluations$"):
             ccdf_exact(exp_pair_b1, 5)
         assert len(passes) == 1
-
-    def test_zero_integral_names_both_passes(self, exp_pair_b1, monkeypatch):
-        monkeypatch.setattr(oracle, "integrate_adaptive",
-                            lambda *args, **kwargs: QuadResult(0.0, 0.0, 3, 45))
-        with pytest.raises(QuadratureFailure, match=r"^n=5: nonpositive integral 0.0 "
-                                                    r"after 3 panels and 90 evaluations$"):
-            ccdf_exact(exp_pair_b1, 5)
 
     def test_non_monotone_curve_names_its_spend(self, exp_pair_b1, monkeypatch):
         def rising(m, n):

@@ -4,25 +4,31 @@ Installing and uninstalling it here makes a rename or deletion of a
 traced name fail the test suite, not a traced benchmark run.
 """
 
-import sys
-from pathlib import Path
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import model_1a
+from retxdist import oracle
 
 
-def test_tracer_patches_and_restores_every_name(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+def test_tracer_patches_and_restores_every_name(perfbench):
+    tracer = perfbench("spans").Tracer()
     try:
-        import spans
-        tracer = spans.Tracer()
-        try:
-            tracer.install()
-        finally:
-            patched = list(tracer._patches)
-            tracer.uninstall()
+        tracer.install()
     finally:
-        sys.modules.pop("spans", None)
+        patched = list(tracer._patches)
+        tracer.uninstall()
     assert patched
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_oracle_call_records_its_quadrature(perfbench):
+    # the integrator is traced through the oracle module's attribute; a call
+    # around it would leave --trace 1 without quadrature metrics
+    tracer = perfbench("spans").Tracer()
+    try:
+        tracer.install()
+        oracle.ccdf_exact(model_1a(1.0), 10)
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[i] for i in tracer.name}
+    assert {"oracle.ccdf_exact", "quadrature.integrate",
+            "quadrature.integrand"} <= recorded
