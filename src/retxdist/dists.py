@@ -512,28 +512,37 @@ class DerivedLaw:
         step = np.full_like(cur, np.inf)
         lo = np.full_like(cur, -np.inf)     # h(lo) < target <= h(hi)
         hi = np.zeros_like(cur)
+        # The active set shrinks only when an iterate is accepted; between
+        # shrinks every update runs in place, in the arrays it replaces.
         for _ in range(self.QUANTILE_MAX_ITER):
             h = _derived_log_raw(self.alpha, self.ell, cur)
             slope = self.alpha + self.ell.log_slope(-cur)
-            noise = self.QUANTILE_STEP_TOL * (1.0 + np.abs(cur))
+            # noise = QUANTILE_STEP_TOL * (1 + |cur|), divided by h' where 0 < h' < 1
+            noise = np.abs(cur)
+            noise += 1.0
+            noise *= self.QUANTILE_STEP_TOL
             with np.errstate(divide="ignore", invalid="ignore"):
-                noise = np.where(slope > 0.0, noise / np.minimum(slope, 1.0), noise)
+                np.divide(noise, np.minimum(slope, 1.0), out=noise, where=slope > 0.0)
             done = step <= noise
-            s[idx[done]] = cur[done]
-            keep = ~done
-            idx, target, cur, h, slope = idx[keep], target[keep], cur[keep], h[keep], slope[keep]
+            if done.any():
+                s[idx[done]] = cur[done]
+                keep = ~done
+                idx, target, cur, h, slope, lo, hi, step = (
+                    a[keep] for a in (idx, target, cur, h, slope, lo, hi, step))
             if idx.size == 0:
                 return s
-            lo, hi = lo[keep], hi[keep]
             below = h < target
-            lo = np.where(below, cur, lo)
-            hi = np.where(below, hi, cur)
+            np.copyto(lo, cur, where=below)
+            np.copyto(hi, cur, where=~below)
             with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = cur - (h - target) / slope
+                h -= target
+                h /= slope
+            nxt = np.subtract(cur, h, out=h)
             # Outside the bracket: bisect it, or step down while unbounded below.
             stray = ~((nxt >= lo) & (nxt <= hi))
-            nxt[stray] = np.where(np.isinf(lo), 2.0 * hi - 1.0, 0.5 * (lo + hi))[stray]
-            step = np.abs(nxt - cur)
+            lo_s, hi_s = lo[stray], hi[stray]
+            nxt[stray] = np.where(np.isinf(lo_s), 2.0 * hi_s - 1.0, 0.5 * (lo_s + hi_s))
+            np.abs(np.subtract(nxt, cur, out=step), out=step)
             cur = nxt
         raise NonConvergence(
             f"derived quantile: {idx.size} values still moving after "

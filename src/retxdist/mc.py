@@ -16,8 +16,10 @@ reproduces bit-identical output regardless of scheduling.
 A stream is drawn in blocks of _BLOCK samples: all of a block's document
 uniforms, then all of its geometric uniforms. A block is self-contained,
 so the first k whole blocks of a stream are the same whatever its length,
-and the working set is a few block-sized temporaries that stay in cache;
-a tally adds one bincount per block.
+and the working set is a few block-sized temporaries that stay in cache.
+A tally bins a block's counts through a table of grid positions built
+once per stream, which equals searchsorted binning bit for bit, and adds
+one bincount per block.
 
 A run ends in a Tally of exceedance counts over a grid; empirical_ccdf
 turns it into the three Monte Carlo columns of a case table.
@@ -40,6 +42,8 @@ from .errors import InvalidParameter
 # Samples per draw block: a block's temporaries stay in cache.
 _BLOCK = 1 << 14
 _N_CAP = 1 << 62
+# A tally's binning table covers counts up to the grid's end, at most this.
+_TABLE_MAX = 1 << 16
 _SURE_SUCCESS = 1.0 - 1e-15
 
 
@@ -144,8 +148,9 @@ def _geometric_counts(p: np.ndarray, u_geo: np.ndarray) -> np.ndarray:
         np.divide(n, p, out=n)
     cap = float(_N_CAP)
     np.ceil(n, out=n)
-    np.nan_to_num(n, copy=False, nan=cap, posinf=cap, neginf=cap)
-    np.clip(n, 1.0, cap, out=n)
+    np.fmin(n, cap, out=n)          # NaN and +inf become cap too
+    n[n == -np.inf] = cap           # and so does -inf, as from p = -0.0
+    np.maximum(n, 1.0, out=n)
     n[sure] = 1.0
     return n.astype(np.int64)
 
@@ -198,12 +203,30 @@ def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
 
 def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
                   seed: int, stream_id: int) -> Tally:
-    """Tally one worker stream, block by block, so memory stays bounded."""
+    """Tally one worker stream, block by block, so memory stays bounded.
+
+    Counts are binned through lut[k] = searchsorted(grid, k) for k = 0..top,
+    built once per stream; top is the grid's end plus one, capped at
+    _TABLE_MAX. Counts >= top are looked up at top, which is exact unless
+    the grid runs past the table: there the counts above top go through
+    searchsorted. So each bin equals searchsorted(grid, n, side="left") bit
+    for bit.
+    """
     grid_arr = np.asarray(list(grid), dtype=np.int64)
+    end = int(grid_arr[-1]) + 1 if grid_arr.size else 0
+    top = min(max(end, 0), _TABLE_MAX)
+    lut = np.searchsorted(grid_arr, np.arange(top + 1), side="left")
     bins = np.zeros(len(grid_arr) + 1, dtype=np.int64)
     for n in _count_blocks(m, RandomStream(seed, stream_id).generator, quota):
-        bins += np.bincount(np.searchsorted(grid_arr, n, side="left"),
-                            minlength=len(bins))
+        # counts are >= 1, so clip mode only clamps them to top
+        idx = lut.take(n, mode="clip")
+        if end > top:
+            far = n > top
+            idx[far] = np.searchsorted(grid_arr, n[far], side="left")
+        bins += np.bincount(idx, minlength=len(bins))
+        # Free the indices before the next block is drawn: one more live
+        # block-sized array makes malloc trim and regrow the heap per block.
+        del idx
     # exceed[i] counts samples with n > grid[i]: all bin indices > i.
     exceed = np.cumsum(bins[::-1])[::-1][1:]
     return Tally(tuple(int(g) for g in grid_arr),

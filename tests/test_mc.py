@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ks_two_sample_ints, model_1a, model_3, model_4
+from conftest import ks_two_sample_ints, model_1a, model_1b, model_3, model_4
 from retxdist import dists, mc
 from retxdist.dists import (BoundedDoc, CoupledModel, Exponential, SlowVaryLogPower,
                             SlowVaryOne, Weibull, derive_doc_law)
@@ -225,14 +225,64 @@ class TestBlockCounts:
 
     @pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
     def test_working_set_below_4_mib(self, family):
+        # the grid's last point makes the binning table as large as it gets
         m = _FAMILY_MODELS[family]()
         tracemalloc.start()
         try:
-            mc._stream_tally(m, [1, 2, 5, 10], (1 << 20) + 7, 41, 0)
+            mc._stream_tally(m, [1, 2, 5, 10, mc._TABLE_MAX], (1 << 20) + 7, 41, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+_TOP = mc._TABLE_MAX
+# One grid that runs past the binning table, one that ends inside it.
+_BINNING_GRIDS = {
+    "past_table": [0, 1, 2, 10, _TOP - 1, _TOP, _TOP + 1, 2**53 + 1,
+                   2**62 - 1, 2**62, 2**63 - 1],
+    "inside_table": [1, 2, 3, 10, 100, 1000, _TOP - 2],
+}
+# Counts pinned at _N_CAP (p = 0), geometric counts straddling the table's
+# end (p = 2^-16), and a heavy-bodied exponential pair.
+_BINNING_MODELS = {
+    "zero_p": lambda: _point_mass_model(800.0),
+    "table_end": lambda: _point_mass_model(16.0 * math.log(2.0)),
+    "heavy_body": lambda: model_1b(4.0),
+}
+
+
+def _searchsorted_tally(counts, grid):
+    return mc.Tally(tuple(grid), tuple(int(np.count_nonzero(counts > g)) for g in grid),
+                    counts.size)
+
+
+class TestTableBinning:
+    @pytest.mark.parametrize("grid", sorted(_BINNING_GRIDS))
+    @pytest.mark.parametrize("model", sorted(_BINNING_MODELS))
+    def test_stream_tally_counts_exceedances(self, model, grid):
+        m = _BINNING_MODELS[model]()
+        counts = mc.sample_N_batch(m, mc.RandomStream(47, 2), _BLOCKS_QUOTA)
+        if model == "zero_p":
+            assert np.all(counts == mc._N_CAP)
+        got = mc._stream_tally(m, _BINNING_GRIDS[grid], _BLOCKS_QUOTA, 47, 2)
+        assert got == _searchsorted_tally(counts, _BINNING_GRIDS[grid])
+
+    @pytest.mark.parametrize("grid", [*_BINNING_GRIDS.values(), [-3], [-3, 0, 5],
+                                      [_TOP - 1], [_TOP]])
+    def test_every_count_near_the_table_end(self, grid, monkeypatch):
+        # each count from 1 to past the table's end, and the largest ones,
+        # spread over two blocks
+        counts = np.concatenate([np.arange(1, _TOP + 4),
+                                 [2**53, 2**53 + 1, 2**53 + 2, 2**62 - 1, 2**62,
+                                  2**63 - 1]]).astype(np.int64)
+        monkeypatch.setattr(mc, "_count_blocks",
+                            lambda m, gen, size: iter(np.array_split(counts, 2)))
+        got = mc._stream_tally(_point_mass_model(1.0), grid, counts.size, 1, 0)
+        assert got == _searchsorted_tally(counts, grid)
+
+    def test_empty_grid(self, exp_pair_b1):
+        assert mc._stream_tally(exp_pair_b1, [], 100, 1, 0) == mc.Tally((), (), 100)
 
 
 class TestRunTally:
