@@ -135,15 +135,16 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import ccdf_exact
+    from .oracle import SeedCache, ccdf_exact
     cfg = _resolve_config(args)
     counts = _requested_counts(args)
     print("case,n,value,log_value,est_abs_err,subdivisions")
     for label, model in _case_models(cfg):
         grid = counts or experiment.candidate_grid(cfg, model)
+        cache = SeedCache(model)
         for n in grid:
             try:
-                r = ccdf_exact(model, n)
+                r = ccdf_exact(model, n, cache=cache)
             except QuadratureFailure as exc:
                 raise QuadratureFailure(f"case {label}: {exc}") from exc
             print(f"{label},{r.n},{_fmt(r.value)},{_fmt(r.log_value)},"

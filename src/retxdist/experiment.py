@@ -49,6 +49,7 @@ from .errors import (
     NoRoot,
     NotInteger,
     QuadratureFailure,
+    RetxError,
     UnknownPreset,
 )
 from .mc import empirical_ccdf, run_tally
@@ -549,7 +550,10 @@ def _run_case(cfg: ExperimentConfig, label: str, channel: Law,
 
     table: dict = {}
     if Source.MONTE_CARLO in cfg.curves:
-        tally = run_tally(model, grid, cfg.samples, cfg.seed, cfg.workers)
+        try:
+            tally = run_tally(model, grid, cfg.samples, cfg.seed, cfg.workers)
+        except RetxError as exc:
+            raise type(exc)(f"case {label}: {exc}") from exc
         table["mc_ccdf"], table["mc_ci_lo"], table["mc_ci_hi"] = \
             empirical_ccdf(tally, cfg.confidence)
     if Source.ORACLE in cfg.curves:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -251,6 +250,9 @@ def run_tally(m: CoupledModel, grid: Sequence[int], samples: int,
     quotas = [(wid, q) for wid, q in quotas if q > 0]
 
     if len(quotas) > 1 and (os.cpu_count() or 1) > 1:
+        # imported here: the pool machinery costs every run memory, and only
+        # this branch needs it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(len(quotas), os.cpu_count())) as pool:
             futures = [pool.submit(_stream_tally, m, grid, q, seed, wid)
                        for wid, q in quotas]

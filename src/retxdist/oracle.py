@@ -13,12 +13,22 @@ Monte Carlo (document quantile, then channel ccdf). The factor
 float underflow (deep tails reach e^-4000 and below).
 
 The weight's mass lies in a layer of width 1/n at y = 0, and H varies on
-the scale g there. Seed panel edges ascend geometrically from a quarter
-of the smaller scale up to 1, so every scale is sampled before adaptive
+the scale g there. Seed panel edges are points of one fixed lattice,
+y_j = 10^(-j/6), taken from the first point at or below a quarter of the
+smaller scale up to 1, so every scale is sampled before adaptive
 refinement starts. A log_power ell is clamped at x_min, which kinks H at
 w = 1/x_min; that point is one more edge.
 
-Evaluations are pure; concurrent evaluation over grid points is safe.
+H does not depend on n, and seed panels of different n are the same
+lattice panels apart from the ones at 0 and at the kink. A SeedCache
+holds H at the Kronrod nodes of each seed panel it has met, so a curve
+evaluates H once per panel and each grid point's seed pass costs one
+weight evaluation. A cache serves one model over one curve. A lone call
+evaluates H at the same nodes in its first pass, so it returns the same
+bits as inside a curve.
+
+Evaluations are pure; concurrent evaluation over grid points is safe
+with a cache per thread.
 """
 
 from __future__ import annotations
@@ -31,14 +41,17 @@ import numpy as np
 
 from .dists import CoupledModel, SlowVaryLogPower
 from .errors import InvalidParameter, QuadratureFailure
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, panel_nodes
 
 REL_TOL = 5e-13
 MAX_PANELS = 1_000_000
 
-# Geometric seed edges per decade of y; fewer leave layers to refinement
-# rounds, each one more integrand pass.
+# Seed edges are points of one lattice, _EDGES_PER_DECADE per decade of y,
+# down to 1e-323; fewer per decade leave layers to refinement rounds, each
+# one more integrand pass.
 _EDGES_PER_DECADE = 6
+_LATTICE = np.array([10.0 ** (-j / _EDGES_PER_DECADE)
+                     for j in range(323 * _EDGES_PER_DECADE + 1)])
 
 
 @dataclass(frozen=True)
@@ -59,41 +72,96 @@ class OracleResult:
 
 
 def _seed_edges(m: CoupledModel, n: int) -> np.ndarray:
-    """Panel edges in y: 0, then geometric from a quarter of min(1/n, g)
-    (of 1/n when g = 0) up to 1, plus the kink of a log_power ell."""
+    """Panel edges in y: 0, then the lattice points from depth
+    ceil(-6 log10(y0)) up to 1, with y0 a quarter of min(1/n, g) (of 1/n
+    when g = 0), plus the kink of a log_power ell where it lies in (0, 1).
+
+    The lattice is fixed, so edges of different n and the panels between
+    them coincide; that is what lets a SeedCache share H across a curve.
+    """
     g = m.gbar_bound
     y0 = 0.25 * (min(1.0 / n, g) if g > 0.0 else 1.0 / n)
-    edges = [0.0, *np.geomspace(y0, 1.0, math.ceil(-_EDGES_PER_DECADE * math.log10(y0)) + 1)]
+    depth = min(math.ceil(-_EDGES_PER_DECADE * math.log10(max(y0, _LATTICE[-1]))),
+                len(_LATTICE) - 1)
+    edges = np.concatenate(([0.0], _LATTICE[depth::-1]))
     if isinstance(m.ell, SlowVaryLogPower):
-        edges.append((1.0 / m.ell.x_min - g) / (1.0 - g))
-    # a bound below the kink puts it at w <= g, which clips onto the edge 0
-    return np.unique(np.clip(edges, 0.0, 1.0))
+        # a bound below the kink puts it at w <= g, outside the interval
+        kink = (1.0 / m.ell.x_min - g) / (1.0 - g)
+        at = int(np.searchsorted(edges, kink))
+        if kink > 0.0 and edges[at] != kink:
+            edges = np.insert(edges, at, kink)
+    return edges
 
 
-def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
+def _survival(m: CoupledModel, y: np.ndarray) -> np.ndarray:
+    """H(g + (1 - g) y): the document survival at the channel quantile."""
+    g = m.gbar_bound
+    return m.doc.ccdf(m.channel.quantile_ccdf(g + (1.0 - g) * y))
+
+
+class SeedCache:
+    """H at the Kronrod nodes of seed panels, keyed by the panel's (lo, hi).
+
+    Holds one model's values for the length of one curve: ccdf_exact
+    evaluates H only at panels the cache has not met. Grid points whose
+    edges coincide share one assembled array.
+    """
+
+    def __init__(self, m: CoupledModel) -> None:
+        self.model = m
+        self._rows: dict[tuple[float, float], np.ndarray] = {}
+        self._seeds: dict[bytes, np.ndarray] = {}
+
+    def nodes_survival(self, edges: np.ndarray) -> np.ndarray:
+        """H at panel_nodes of the panels between edges, raveled."""
+        edge_key = edges.tobytes()
+        h = self._seeds.get(edge_key)
+        if h is None:
+            lo, hi = edges[:-1], edges[1:]
+            keys = list(zip(lo.tolist(), hi.tolist()))
+            new = [i for i, key in enumerate(keys) if key not in self._rows]
+            if new:
+                _, ys = panel_nodes(lo[new], hi[new])
+                rows = _survival(self.model, ys.ravel()).reshape(ys.shape)
+                self._rows.update(zip([keys[i] for i in new], rows))
+            h = self._seeds[edge_key] = np.concatenate([self._rows[key] for key in keys])
+        return h
+
+
+def ccdf_exact(m: CoupledModel, n: int, *,
+               cache: Optional[SeedCache] = None) -> OracleResult:
     """Exact P[N_b > n] for one n (n = 0 returns exactly 1), to REL_TOL
-    within MAX_PANELS panels."""
+    within MAX_PANELS panels.
+
+    cache, a SeedCache of m, supplies H at the seed nodes. Without one, H
+    is evaluated at the same nodes in the first integrand pass, which
+    gives the same bits.
+    """
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
+    if cache is not None and cache.model is not m:
+        raise InvalidParameter("seed cache belongs to another model")
     if n == 0:
         return OracleResult(0, 1.0, 0.0, 0, 0.0)
 
-    g = m.gbar_bound
+    edges = _seed_edges(m, n)
+    # integrate_adaptive's first pass is over the seed nodes, in this order
+    pending = [] if cache is None else [cache.nodes_survival(edges)]
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        x = m.channel.quantile_ccdf(g + (1.0 - g) * y)
-        return np.exp((n - 1) * np.log1p(-y)) * m.doc.ccdf(x)
+        h = pending.pop() if pending else _survival(m, y)
+        return np.exp((n - 1) * np.log1p(-y)) * h
 
     try:
         quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=REL_TOL,
-                                  max_panels=MAX_PANELS, initial_edges=_seed_edges(m, n))
+                                  max_panels=MAX_PANELS, initial_edges=edges)
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"n={n}: {exc}") from exc
     if quad.value <= 0.0:
         raise QuadratureFailure(
             f"n={n}: nonpositive integral {quad.value} after {quad.panels} panels "
             f"and {quad.evaluations} evaluations")
-    log_value = math.log(n) + n * math.log1p(-g) + math.log(quad.value)
+    log_value = math.log(n) + n * math.log1p(-m.gbar_bound) + math.log(quad.value)
     value = math.exp(log_value) if log_value > -745.0 else 0.0
     est_abs_err = value * (quad.abs_err / quad.value)
     return OracleResult(n, value, est_abs_err, quad.panels, log_value, quad.evaluations)
@@ -113,8 +181,9 @@ def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
         raise InvalidParameter("grid must be strictly increasing")
     out: list[OracleResult] = []
     prev_log = math.inf
+    cache = SeedCache(m)
     for n in grid:
-        res = ccdf_exact(m, int(n))
+        res = ccdf_exact(m, int(n), cache=cache)
         if res.log_value > prev_log + 1e-9:
             raise QuadratureFailure(
                 f"oracle curve not monotone at n={n}: log {res.log_value} "

@@ -57,12 +57,18 @@ class QuadResult:
     evaluations: int
 
 
+def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the panels [lo, hi] and their 15 Kronrod nodes, one
+    ascending row per panel."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return half, mid[:, None] + half[:, None] * _NODES[None, :]
+
+
 def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
                  lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod value and |K - G| error estimate for a batch of panels."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xs = mid[:, None] + half[:, None] * _NODES[None, :]
+    half, xs = panel_nodes(lo, hi)
     ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     k = half * (ys @ _W_KRONROD)
     g = half * (ys @ _W_GAUSS)
@@ -78,9 +84,12 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
 
     Starts from initial_edges, or from _INITIAL_PANELS equal panels, and
     refines until the summed error estimate falls below
-    max(rel_tol * |integral|, _ABS_FLOOR). Raises QuadratureFailure when
-    the panel budget is exhausted or no offending panel can be split
-    further; either message gives the panels spent.
+    max(rel_tol * |integral|, _ABS_FLOOR). f is called once per pass with
+    a flat array of nodes; the first call gets panel_nodes of the starting
+    panels, raveled, so a caller may supply values it already holds for
+    them. Raises QuadratureFailure when the panel budget is exhausted or no
+    offending panel can be split further; either message gives the panels
+    spent.
     """
     if not b > a:
         raise QuadratureFailure(f"empty or inverted interval [{a}, {b}]")

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from retxdist import cli, experiment as E, oracle
+from retxdist import cli, experiment as E, mc, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf
 from retxdist.dists import SlowVaryGammaDoc
-from retxdist.errors import (ConfigInvalid, CouplingInvalid, QuadratureFailure,
-                             UnknownPreset)
+from retxdist.errors import (ConfigInvalid, CouplingInvalid, NonConvergence,
+                             QuadratureFailure, UnknownPreset)
 
 
 def minimal_config(**overrides):
@@ -282,6 +282,19 @@ class TestOracleFailure:
         monkeypatch.setattr(oracle, "integrate_adaptive", _spent)
         assert cli.main(["oracle", "--preset", "example1a", "--n", "74989"]) == 3
         assert capsys.readouterr().err == "error: case b1: n=74989: budget spent\n"
+
+
+def test_monte_carlo_failure_names_case(monkeypatch):
+    def stuck(doc):
+        def quantile(u):
+            raise NonConvergence("derived quantile: 5 values still moving")
+        return quantile
+
+    monkeypatch.setattr(mc, "sampling_quantile", stuck)
+    cfg = E.parse_config(minimal_config())
+    with pytest.raises(NonConvergence,
+                       match=r"^case b1: derived quantile: 5 values still moving$"):
+        E.run_experiment(cfg)
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"

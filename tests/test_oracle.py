@@ -6,17 +6,19 @@ integer-index finite sum, mpmath references and Monte Carlo.
 """
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import model_1a, model_3, model_4, model_log_power
 from retxdist import cli, experiment, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf, log_exact_integer_ccdf
-from retxdist.dists import BoundedDoc, CoupledModel, SlowVaryOne
+from retxdist.dists import BoundedDoc, CoupledModel, SlowVaryLogPower, SlowVaryOne
 from retxdist.errors import InvalidParameter, QuadratureFailure
 from retxdist.mc import empirical_ccdf, run_tally
 from retxdist.oracle import OracleResult, ccdf_exact, ccdf_exact_curve
-from retxdist.quadrature import QuadResult
+from retxdist.quadrature import QuadResult, panel_nodes
 
 
 class TestPointValues:
@@ -147,7 +149,10 @@ class TestSweep:
         for label, channel, doc, bound in cfg.cases():
             m = experiment.build_model(channel, doc, cfg.alpha, cfg.ell, bound)
             grid = experiment.candidate_grid(cfg, m)
-            logs = [ccdf_exact(m, n).log_value for n in grid]
+            lone = [ccdf_exact(m, n) for n in grid]
+            # a lone call builds the curve's seed from scratch: same bits
+            assert ccdf_exact_curve(m, grid) == lone, label
+            logs = [r.log_value for r in lone]
             assert all(math.isfinite(v) for v in logs), label
             assert all(b <= a for a, b in zip(logs, logs[1:])), label
             if isinstance(m.ell, SlowVaryOne) and float(m.alpha).is_integer():
@@ -155,6 +160,83 @@ class TestSweep:
                 for n, v in zip(grid, logs):
                     ref = log_exact_integer_ccdf(p, n)
                     assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref)), (label, n)
+
+
+def _preset_models():
+    for name in experiment.preset_names():
+        cfg = experiment.preset(name)
+        for label, channel, doc, bound in cfg.cases():
+            yield f"{name}/{label}", experiment.build_model(channel, doc, cfg.alpha,
+                                                            cfg.ell, bound)
+
+
+class TestSeed:
+    @pytest.mark.parametrize("n", [1, 2, 10, 10**4, 10**7])
+    def test_edges_are_lattice_points(self, n):
+        # a bound of 0.5 puts the log_power kink at w = 1/e below g, 16 above
+        models = [*_preset_models(), ("log_power b0.5", model_log_power(0.5)),
+                  ("log_power b16", model_log_power(16.0))]
+        for label, m in models:
+            g = m.gbar_bound
+            edges = oracle._seed_edges(m, n)
+            assert edges[0] == 0.0 and edges[-1] == 1.0, label
+            assert np.all(np.diff(edges) > 0.0), label
+            kink = None
+            if isinstance(m.ell, SlowVaryLogPower):
+                kink = (1.0 / m.ell.x_min - g) / (1.0 - g)
+            assert (kink in edges.tolist()) == (kink is not None and 0.0 < kink < 1.0), label
+            lattice = [y for y in edges[1:].tolist() if y != kink]
+            for y in lattice:
+                j = round(-6.0 * math.log10(y))
+                assert y == 10.0 ** (-j / 6), (label, y)
+            y0 = 0.25 * min(1.0 / n, g)
+            assert 10.0 ** (-1 / 6) * y0 < lattice[0] <= y0, label
+
+    def test_curve_evaluates_each_seed_panel_once(self):
+        # the channel quantile runs once per H evaluation; over a curve, each
+        # seed panel's nodes reach it once (refinement nodes are other points)
+        class Counting:
+            def __init__(self, law):
+                self.law = law
+                self.seen = []
+
+            def quantile_ccdf(self, q):
+                self.seen.extend(np.ravel(q).tolist())
+                return self.law.quantile_ccdf(q)
+
+            def __getattr__(self, name):
+                return getattr(self.law, name)
+
+        base = model_log_power(16.0)
+        channel = Counting(base.channel)
+        m = CoupledModel(channel, base.doc, base.alpha, base.ell)
+        g = m.gbar_bound
+        grid = [round(10 ** (k / 5)) for k in range(30)]
+        assert len(set(grid)) == 30
+        ccdf_exact_curve(m, grid)
+        panels = set()
+        for n in grid:
+            edges = oracle._seed_edges(m, n)
+            panels.update(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        lo, hi = (np.array(side) for side in zip(*sorted(panels)))
+        _, ys = panel_nodes(lo, hi)
+        seen = Counter(channel.seen)
+        assert [seen[w] for w in (g + (1.0 - g) * ys.ravel()).tolist()] == [1] * ys.size
+
+    @pytest.mark.parametrize("bound", [744.0, 745.0])
+    def test_subnormal_channel_survival(self, bound):
+        # g = 1e-323 and 5e-324: a quarter of g rounds to 0, and the seed
+        # starts at the lattice's last point; the bound then hardly matters,
+        # P[N > n] = 2 / ((n + 1)(n + 2))
+        m = model_1a(bound)
+        assert 0.0 < m.gbar_bound < 2e-323
+        for n in (1, 10, 1000):
+            want = math.log(2.0 / ((n + 1) * (n + 2)))
+            assert ccdf_exact(m, n).log_value == pytest.approx(want, rel=1e-13)
+
+    def test_cache_of_another_model_refused(self):
+        with pytest.raises(InvalidParameter, match="another model"):
+            ccdf_exact(model_1a(1.0), 5, cache=oracle.SeedCache(model_1a(2.0)))
 
 
 class TestCurves:
@@ -261,7 +343,7 @@ class TestInvariants:
         assert len(passes) == 1
 
     def test_non_monotone_curve_names_its_spend(self, exp_pair_b1, monkeypatch):
-        def rising(m, n):
+        def rising(m, n, cache=None):
             return OracleResult(n, 0.0, 0.0, 10 * n, -100.0 + n, 150 * n)
 
         monkeypatch.setattr(oracle, "ccdf_exact", rising)

@@ -21,14 +21,17 @@ def test_tracer_patches_and_restores_every_name(perfbench):
 
 
 def test_oracle_call_records_its_quadrature(perfbench):
-    # the integrator is traced through the oracle module's attribute; a call
-    # around it would leave --trace 1 without quadrature metrics
+    # the integrator is traced through the oracle module's attribute, and a
+    # curve calls ccdf_exact through it too; a call around either would
+    # leave --trace 1 without oracle or quadrature metrics
+    grid = [1, 10, 100]
     tracer = perfbench("spans").Tracer()
     try:
         tracer.install()
-        oracle.ccdf_exact(model_1a(1.0), 10)
+        oracle.ccdf_exact_curve(model_1a(1.0), grid)
     finally:
         tracer.uninstall()
-    recorded = {tracer.names[i] for i in tracer.name}
-    assert {"oracle.ccdf_exact", "quadrature.integrate",
-            "quadrature.integrand"} <= recorded
+    recorded = [tracer.names[i] for i in tracer.name]
+    assert recorded.count("oracle.ccdf_exact") == len(grid)
+    assert recorded.count("quadrature.integrate") == len(grid)
+    assert "quadrature.integrand" in recorded
