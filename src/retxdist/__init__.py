@@ -50,7 +50,6 @@ from .mc import (
     Tally,
     empirical_ccdf,
     run_tally,
-    sample_N,
     sample_N_naive,
     wilson_interval,
 )
@@ -64,6 +63,6 @@ __all__ = [
     "ccdf_exact", "ccdf_exact_curve", "derive_doc_law", "empirical_ccdf",
     "exact_integer_ccdf", "exp_tail_asymptote", "exp_tail_general", "log_body",
     "log_upper_bound", "power_law_limit", "power_law_region_check", "run_tally",
-    "sample_N", "sample_N_naive", "transition_point",
+    "sample_N_naive", "transition_point",
     "uniform_approx", "validate_coupling", "wilson_interval",
 ]

@@ -73,6 +73,11 @@ class TransitionReport:
     bracket: tuple[float, float]
 
 
+def _exp(v: float) -> float:
+    """e^v, with 0.0 below the float64 range instead of a subnormal."""
+    return math.exp(v) if v > -745.0 else 0.0
+
+
 def neg_log_one_minus(g: float) -> float:
     """-log(1 - g) without cancellation; series below 1e-8."""
     if g < 1e-8:
@@ -92,8 +97,7 @@ def _log_ell_term(p: ApproxParams, n: int) -> float:
 
 def uniform_approx(p: ApproxParams, n: int) -> float:
     """Uniform power-law-times-Gamma approximation of P[N_b > n]."""
-    v = log_uniform_approx(p, n)
-    return math.exp(v) if v > -745.0 else 0.0
+    return _exp(log_uniform_approx(p, n))
 
 
 def log_uniform_approx(p: ApproxParams, n: int) -> float:
@@ -111,9 +115,7 @@ def power_law_limit(p: ApproxParams, n: int) -> float:
     This is what the uniform approximation converges to when
     n * Gbar(b) -> 0 (effectively unbounded documents).
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    return math.exp(log_power_law_limit(p, n))
+    return _exp(log_power_law_limit(p, n))
 
 
 def log_power_law_limit(p: ApproxParams, n: int) -> float:
@@ -124,15 +126,17 @@ def log_power_law_limit(p: ApproxParams, n: int) -> float:
             - p.alpha * math.log(n))
 
 
-def _require_integer_alpha(p: ApproxParams) -> int:
-    a = round(p.alpha)
-    if abs(p.alpha - a) > _INTEGER_TOL or a < 1:
-        raise NotInteger(f"alpha={p.alpha} is not a positive integer")
+def require_integer_alpha(alpha: float) -> int:
+    """alpha as an int; NotInteger unless it is a positive integer."""
+    a = round(alpha)
+    if abs(alpha - a) > _INTEGER_TOL or a < 1:
+        raise NotInteger(f"alpha={alpha} is not a positive integer")
     return int(a)
 
 
-def _require_ell_one(p: ApproxParams) -> None:
-    if not isinstance(p.ell, SlowVaryOne):
+def require_ell_one(ell: SlowVary) -> None:
+    """EllNotOne unless ell is the trivial slowly varying function."""
+    if not isinstance(ell, SlowVaryOne):
         raise EllNotOne("this closed form requires ell == 1")
 
 
@@ -143,15 +147,14 @@ def exact_integer_ccdf(p: ApproxParams, n: int) -> float:
     alpha! n! Gbar^(alpha-i) (1-Gbar)^(n+i) / ((alpha-i)! (n+i)!),
     divided by P[L <= b]; evaluated in log space so deep tails survive.
     """
-    v = log_exact_integer_ccdf(p, n)
-    return math.exp(v) if v > -745.0 else 0.0
+    return _exp(log_exact_integer_ccdf(p, n))
 
 
 def log_exact_integer_ccdf(p: ApproxParams, n: int) -> float:
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
-    a = _require_integer_alpha(p)
-    _require_ell_one(p)
+    a = require_integer_alpha(p.alpha)
+    require_ell_one(p.ell)
     g = p.gbar_b
     log_g = math.log(g)
     log_1mg = math.log1p(-g)
@@ -174,14 +177,13 @@ def exp_tail_asymptote(p: ApproxParams, n: int) -> float:
     asymptotics for fixed b when ell == 1. Use exp_tail_general for
     nontrivial ell.
     """
-    v = log_exp_tail_asymptote(p, n)
-    return math.exp(v) if v > -745.0 else 0.0
+    return _exp(log_exp_tail_asymptote(p, n))
 
 
 def log_exp_tail_asymptote(p: ApproxParams, n: int) -> float:
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    _require_ell_one(p)
+    require_ell_one(p.ell)
     g = p.gbar_b
     return (math.log(p.alpha) + (p.alpha - 1.0) * math.log(g) - math.log(p.F_b)
             + (n + 1) * math.log1p(-g) - math.log(n + 1))
@@ -193,8 +195,7 @@ def exp_tail_general(p: ApproxParams, n: int) -> float:
     (alpha / (ell(1/Gbar) n)) Gbar^(alpha-1) (1-Gbar)^n; valid as both n
     and the bound grow with n * Gbar(b) -> infinity.
     """
-    v = log_exp_tail_general(p, n)
-    return math.exp(v) if v > -745.0 else 0.0
+    return _exp(log_exp_tail_general(p, n))
 
 
 def log_exp_tail_general(p: ApproxParams, n: int) -> float:

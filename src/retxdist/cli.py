@@ -8,19 +8,24 @@ Verbs:
     transition  power-law-to-geometric transition report
     validate    hazard-proportionality residual check
 
+Every verb but preset runs its cases through experiment.map_cases, so a
+failure inside a case is reported as "error: case <label>: ...". approx
+prints experiment.closed_form_columns, the cells run writes: empty where
+a form is undefined.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import asym, experiment
-from .dists import CouplingMode, SlowVaryOne, validate_coupling
-from .errors import ConfigInvalid, IoFailure, QuadratureFailure, RetxError
+from .errors import ConfigInvalid, IoFailure, RetxError
 from .experiment import (ExperimentConfig, Source, _fmt, load_config, preset,
                          preset_names)
 
@@ -59,7 +64,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "skip_coupling_check", False):
         overrides["skip_coupling_check"] = True
     if overrides:
-        import dataclasses
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
 
@@ -90,12 +94,6 @@ def _requested_counts(args: argparse.Namespace) -> Optional[list[int]]:
     if args.n and min(args.n) < 0:
         raise ConfigInvalid(f"--n must be >= 0, got {min(args.n)}")
     return args.n
-
-
-def _case_models(cfg: ExperimentConfig):
-    for label, channel, doc_base, bound in cfg.cases():
-        yield label, experiment.build_model(channel, doc_base, cfg.alpha,
-                                            cfg.ell, bound)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -139,71 +137,62 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     counts = _requested_counts(args)
     print("case,n,value,log_value,est_abs_err,subdivisions")
-    for label, model in _case_models(cfg):
-        grid = counts or experiment.candidate_grid(cfg, model)
+
+    def rows(label, model) -> None:
         cache = SeedCache(model)
-        for n in grid:
-            try:
-                r = ccdf_exact(model, n, cache=cache)
-            except QuadratureFailure as exc:
-                raise QuadratureFailure(f"case {label}: {exc}") from exc
+        for n in counts or experiment.candidate_grid(cfg, model):
+            r = ccdf_exact(model, n, cache=cache)
             print(f"{label},{r.n},{_fmt(r.value)},{_fmt(r.log_value)},"
                   f"{_fmt(r.est_abs_err)},{r.subdivisions}")
+
+    experiment.map_cases(cfg, rows)
     return EXIT_OK
-
-
-def _approx_kinds(ell) -> dict:
-    """Closed form per `approx --kind` name, for a model with this ell."""
-    return {source.value: fn for source, fn in experiment.closed_forms(ell).items()}
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     counts = _requested_counts(args)
-    fns = _approx_kinds(cfg.ell)
     kinds = args.kind or ["uniform_approx", "power_law"]
-    unknown = [k for k in kinds if k not in fns]
+    unknown = [k for k in kinds if k not in experiment.CLOSED_FORMS]
     if unknown:
         raise ConfigInvalid(f"unknown approximation kinds: {unknown}")
     print("case,n," + ",".join(kinds))
-    for label, model in _case_models(cfg):
-        p = asym.ApproxParams.from_model(model)
+
+    def rows(label, model) -> None:
         grid = counts or experiment.candidate_grid(cfg, model)
-        for n in grid:
-            cells = []
-            for kind in kinds:
-                try:
-                    cells.append(_fmt(fns[kind](p, n)))
-                except RetxError:
-                    cells.append("")
-            print(f"{label},{n}," + ",".join(cells))
+        columns = experiment.closed_form_columns(model, kinds, grid)
+        cells = zip(*(columns[k].tolist() for k in kinds))
+        for n, row in zip(grid, cells):
+            print(f"{label},{n}," + ",".join(_fmt(v) for v in row))
+
+    experiment.map_cases(cfg, rows)
     return EXIT_OK
 
 
 def _cmd_transition(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out = {}
-    for label, model in _case_models(cfg):
-        report = asym.transition_point(asym.ApproxParams.from_model(model))
-        out[label] = {"n_heuristic": report.n_heuristic,
-                      "n_fixed_point": report.n_fixed_point,
-                      "bracket": list(report.bracket)}
-    print(json.dumps(out, indent=2, sort_keys=True))
+
+    def report(label, model) -> tuple:
+        p = asym.ApproxParams.from_model(model)
+        return label, dataclasses.asdict(asym.transition_point(p))
+
+    print(json.dumps(dict(experiment.map_cases(cfg, report)), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    worst = 0.0
-    for label, model in _case_models(cfg):
-        if model.mode is not CouplingMode.PARAMETRIC:
+
+    def check(label, model) -> bool:
+        residual = experiment.coupling_residual(model)
+        if residual is None:
             print(f"{label}: derived model (relation holds by construction)")
-            continue
-        rep = validate_coupling(model)
-        status = "ok" if rep.max_residual <= experiment.COUPLING_TOLERANCE else "FAIL"
-        print(f"{label}: max residual {rep.max_residual:.6g} [{status}]")
-        worst = max(worst, rep.max_residual)
-    return EXIT_OK if worst <= experiment.COUPLING_TOLERANCE else EXIT_NUMERIC
+            return True
+        ok = residual <= experiment.COUPLING_TOLERANCE
+        print(f"{label}: max residual {residual:.6g} [{'ok' if ok else 'FAIL'}]")
+        return ok
+
+    return EXIT_OK if all(experiment.map_cases(cfg, check)) else EXIT_NUMERIC
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p_approx, with_run_knobs=False)
     p_approx.add_argument("--n", type=int, action="append")
     p_approx.add_argument("--kind", action="append",
-                          help=f"one of {sorted(_approx_kinds(SlowVaryOne()))} (repeatable)")
+                          help=f"one of {sorted(experiment.CLOSED_FORMS)} (repeatable)")
     p_approx.add_argument("--n-max", type=int, dest="n_max")
     p_approx.set_defaults(fn=_cmd_approx)
 

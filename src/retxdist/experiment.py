@@ -6,6 +6,12 @@ over its grid, one float array per column of the requested sources, a
 comparison report against the exact quadrature oracle, and a CSV/JSON
 file of that table with a JSON metadata sidecar.
 
+Every CLI verb goes through the same case path: map_cases builds each
+case's model and prefixes any RetxError raised inside the case with
+"case <label>: "; closed_form_columns computes the closed forms over a
+grid, NaN where a form is undefined; coupling_residual reads a model's
+coupling residual.
+
 The CSV column set is a frozen compatibility surface:
 
     n, mc_ccdf, mc_ci_lo, mc_ci_hi, oracle, uniform_approx, power_law,
@@ -24,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,7 +54,6 @@ from .errors import (
     IoFailure,
     NoRoot,
     NotInteger,
-    QuadratureFailure,
     RetxError,
     UnknownPreset,
 )
@@ -155,11 +160,11 @@ class ExperimentConfig:
         if not self.curves:
             raise ConfigInvalid("at least one curve source is required")
         if Source.EXACT_INTEGER in self.curves:
-            if abs(self.alpha - round(self.alpha)) > 1e-12 or round(self.alpha) < 1:
-                raise ConfigInvalid(
-                    "exact_integer curve needs a positive integer alpha")
-            if not isinstance(self.ell, SlowVaryOne):
-                raise ConfigInvalid("exact_integer curve needs ell == 1")
+            try:
+                asym.require_integer_alpha(self.alpha)
+                asym.require_ell_one(self.ell)
+            except (NotInteger, EllNotOne) as exc:
+                raise ConfigInvalid(f"exact_integer curve: {exc}") from None
 
     def cases(self) -> list[tuple[str, Law, Optional[Law], float]]:
         """(label, channel, doc_base, bound) per emitted file."""
@@ -286,8 +291,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             variants=variants,
             skip_coupling_check=bool(raw.get("skip_coupling_check", False)))
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigInvalid):
-            raise
         raise ConfigInvalid(f"bad config: {exc!r}") from exc
 
 
@@ -445,16 +448,6 @@ class ComparisonReport:
     transition: Optional[asym.TransitionReport]
     coupling_residual: Optional[float]
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if self.transition is not None:
-            d["transition"] = {
-                "n_heuristic": self.transition.n_heuristic,
-                "n_fixed_point": self.transition.n_fixed_point,
-                "bracket": list(self.transition.bracket),
-            }
-        return d
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -489,29 +482,59 @@ def build_model(channel: Law, doc_base: Optional[Law], alpha: float,
     return CoupledModel.parametric(channel, doc_base, alpha, ell, bound)
 
 
+def map_cases(cfg: ExperimentConfig,
+              fn: Callable[[str, CoupledModel], object]) -> list:
+    """fn(label, model) for each case of cfg, in order.
+
+    The one place a case's model is built, and the one place a RetxError
+    raised inside a case, while building its model or in fn, gains the
+    prefix "case <label>: " (same type, the original chained).
+    """
+    out = []
+    for label, channel, doc_base, bound in cfg.cases():
+        try:
+            out.append(fn(label, build_model(channel, doc_base, cfg.alpha,
+                                             cfg.ell, bound)))
+        except RetxError as exc:
+            raise type(exc)(f"case {label}: {exc}") from exc
+    return out
+
+
+def coupling_residual(model: CoupledModel) -> Optional[float]:
+    """Maximum hazard-proportionality residual of a parametric model; None
+    for a derived one, where the relation holds by construction."""
+    if model.mode is not CouplingMode.PARAMETRIC:
+        return None
+    return validate_coupling(model).max_residual
+
+
 def exp_tail_variant(ell: SlowVary) -> str:
     """Which geometric-tail form applies: the fixed-bound asymptote needs ell == 1."""
     return "fixed_bound" if isinstance(ell, SlowVaryOne) else "general_slow_variation"
 
 
-def closed_forms(ell: SlowVary) -> dict:
-    """Closed form (params, n) -> value for each approximation source.
+# Closed-form column (and `approx --kind` name) -> its asym function for a
+# model's ell. Each lambda reads the asym attribute when called, so a
+# patched function is the one used.
+CLOSED_FORMS = {
+    Source.UNIFORM_APPROX.value: lambda ell: asym.uniform_approx,
+    Source.POWER_LAW.value: lambda ell: asym.power_law_limit,
+    Source.EXACT_INTEGER.value: lambda ell: asym.exact_integer_ccdf,
+    Source.EXP_TAIL.value: lambda ell: (
+        asym.exp_tail_asymptote if exp_tail_variant(ell) == "fixed_bound"
+        else asym.exp_tail_general),
+    Source.LOG_BODY.value: lambda ell: asym.log_body,
+}
 
-    Built on each call, so it holds whatever the asym module's names refer
-    to at that moment.
+
+def closed_form_columns(model: CoupledModel, names: Iterable[str],
+                        grid: Sequence[int]) -> dict:
+    """Column per closed-form name (a CLOSED_FORMS key) over grid.
+
+    A cell is NaN where its form is undefined: where it raises
+    InvalidParameter, NotInteger or EllNotOne. Any other RetxError
+    propagates.
     """
-    return {
-        Source.UNIFORM_APPROX: asym.uniform_approx,
-        Source.POWER_LAW: asym.power_law_limit,
-        Source.EXACT_INTEGER: asym.exact_integer_ccdf,
-        Source.EXP_TAIL: (asym.exp_tail_asymptote if exp_tail_variant(ell) == "fixed_bound"
-                          else asym.exp_tail_general),
-        Source.LOG_BODY: asym.log_body,
-    }
-
-
-def _closed_form_columns(cfg: ExperimentConfig, model: CoupledModel,
-                         grid: Sequence[int]) -> dict:
     p = asym.ApproxParams.from_model(model)
 
     def value(fn, n: int) -> float:
@@ -520,58 +543,47 @@ def _closed_form_columns(cfg: ExperimentConfig, model: CoupledModel,
         except (InvalidParameter, NotInteger, EllNotOne):
             return math.nan
 
-    return {source.value: np.array([value(fn, n) for n in grid], dtype=float)
-            for source, fn in closed_forms(cfg.ell).items()
-            if source in cfg.curves}
+    columns = {}
+    for name in names:
+        fn = CLOSED_FORMS[name](model.ell)
+        columns[name] = np.array([value(fn, n) for n in grid], dtype=float)
+    return columns
 
 
-def _run_case(cfg: ExperimentConfig, label: str, channel: Law,
-              doc_base: Optional[Law], bound: float) -> CaseResult:
-    model = build_model(channel, doc_base, cfg.alpha, cfg.ell, bound)
-
-    coupling_residual = None
-    if model.mode is CouplingMode.PARAMETRIC:
-        residual = validate_coupling(model).max_residual
-        coupling_residual = residual
-        if residual > COUPLING_TOLERANCE and not cfg.skip_coupling_check:
-            raise CouplingInvalid(
-                f"case {label}: hazard-proportionality residual {residual:.4g} "
-                f"exceeds {COUPLING_TOLERANCE}")
+def _run_case(cfg: ExperimentConfig, label: str, model: CoupledModel) -> CaseResult:
+    residual = coupling_residual(model)
+    if (residual is not None and residual > COUPLING_TOLERANCE
+            and not cfg.skip_coupling_check):
+        raise CouplingInvalid(f"hazard-proportionality residual {residual:.4g} "
+                              f"exceeds {COUPLING_TOLERANCE}")
 
     # The oracle is evaluated regardless of the requested curves: it
     # drives auto-grid trimming and the comparison report.
     floor = MIN_EXPECTED_TAIL_HITS / cfg.samples if cfg.grid.n_max is None else None
-    try:
-        oracle_results = ccdf_exact_curve(model, candidate_grid(cfg, model),
-                                          stop_below=floor)
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(f"case {label}: {exc}") from exc
+    oracle_results = ccdf_exact_curve(model, candidate_grid(cfg, model),
+                                      stop_below=floor)
     grid = [r.n for r in oracle_results]
 
     table: dict = {}
     if Source.MONTE_CARLO in cfg.curves:
-        try:
-            tally = run_tally(model, grid, cfg.samples, cfg.seed, cfg.workers)
-        except RetxError as exc:
-            raise type(exc)(f"case {label}: {exc}") from exc
+        tally = run_tally(model, grid, cfg.samples, cfg.seed, cfg.workers)
         table["mc_ccdf"], table["mc_ci_lo"], table["mc_ci_hi"] = \
             empirical_ccdf(tally, cfg.confidence)
     if Source.ORACLE in cfg.curves:
         table["oracle"] = np.array([r.value for r in oracle_results])
-    table.update(_closed_form_columns(cfg, model, grid))
+    table.update(closed_form_columns(
+        model, [name for name in CLOSED_FORMS if Source(name) in cfg.curves], grid))
 
-    report = _compare(cfg, label, bound, oracle_results, table, model,
-                      coupling_residual)
+    report = _compare(label, model, oracle_results, table, residual)
     files = tuple(emit_curves(table, report, cfg, label, grid)) \
         if cfg.output_prefix is not None else ()
-    return CaseResult(label, bound, model, tuple(grid), table,
+    return CaseResult(label, model.bound, model, tuple(grid), table,
                       tuple(oracle_results), report, files)
 
 
-def _compare(cfg: ExperimentConfig, label: str, bound: float,
+def _compare(label: str, model: CoupledModel,
              oracle_results: Sequence[OracleResult], table: dict,
-             model: CoupledModel,
-             coupling_residual: Optional[float]) -> ComparisonReport:
+             residual: Optional[float]) -> ComparisonReport:
     value = np.array([r.value for r in oracle_results])
     log_value = np.array([r.log_value for r in oracle_results])
     max_err: dict = {}
@@ -597,15 +609,14 @@ def _compare(cfg: ExperimentConfig, label: str, bound: float,
         transition = asym.transition_point(asym.ApproxParams.from_model(model))
     except (NoRoot, InvalidParameter):
         transition = None
-    return ComparisonReport(label, bound, ORACLE_REPORT_THRESHOLD, max_err,
-                            coverage, npoints, transition, coupling_residual)
+    return ComparisonReport(label, model.bound, ORACLE_REPORT_THRESHOLD, max_err,
+                            coverage, npoints, transition, residual)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run every case of the experiment; see the module docstring."""
-    cases = tuple(_run_case(cfg, label, channel, doc_base, bound)
-                  for label, channel, doc_base, bound in cfg.cases())
-    return RunResult(cfg, cases)
+    cases = map_cases(cfg, lambda label, model: _run_case(cfg, label, model))
+    return RunResult(cfg, tuple(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +667,7 @@ def emit_curves(table: dict, report: ComparisonReport, cfg: ExperimentConfig,
             "config": cfg.to_dict(),
             "seed": cfg.seed,
             "exp_tail_variant": exp_tail_variant(cfg.ell),
-            "report": report.to_dict(),
+            "report": dataclasses.asdict(report),
         }
         meta_path = base.parent / (stem + ".meta.json")
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n",

@@ -105,23 +105,13 @@ class NaiveDraw(NamedTuple):
     capped: bool
 
 
-def sample_N(m: CoupledModel, rng: RandomStream) -> int:
-    """One retransmission count via the conditional-geometric identity.
-
-    A one-sample block of the batched sampler through the exact document
-    quantile: it draws the document uniform, then the geometric uniform,
-    even when the attempt is sure to succeed.
-    """
-    return int(_batch_counts(m, m.doc.quantile_from_uniform, rng.generator, 1)[0])
-
-
 def sample_N_naive(m: CoupledModel, rng: RandomStream, cap: int) -> NaiveDraw:
     """Literal retry loop: draw availability periods until one clears L_b.
 
     Draws one uniform for the document, then one per attempt, each pushed
     through the survival quantile of its law. Returns min(count, cap) with
     a flag saying whether the cap was hit. Distributionally identical to
-    sample_N; kept for equivalence testing.
+    sample_N_batch; kept for equivalence testing.
     """
     if cap < 1:
         raise InvalidParameter(f"cap must be >= 1, got {cap}")
@@ -186,12 +176,11 @@ def _count_blocks(m: CoupledModel, gen: np.random.Generator,
 
 
 def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
-    """Vectorized retransmission counts, same law as sample_N.
+    """Vectorized retransmission counts via the conditional-geometric identity.
 
     Draws the stream in _BLOCK-sample blocks, each all its document draws
-    and then all its geometric draws, so it consumes the stream in a
-    different order than repeated sample_N calls while remaining fully
-    deterministic for a given stream. A quota of k whole blocks is a prefix
+    and then all its geometric draws, so it is fully deterministic for a
+    given stream. A quota of k whole blocks is a prefix
     of any longer quota on the same stream. Documents are drawn through
     sampling_quantile.
     """

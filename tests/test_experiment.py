@@ -297,6 +297,60 @@ def test_monte_carlo_failure_names_case(monkeypatch):
         E.run_experiment(cfg)
 
 
+class TestCaseErrors:
+    """Every verb names the case a failure happened in."""
+
+    def test_transition_without_root(self, tmp_path, capsys):
+        # Gbar(0.1) = 0.905 >= alpha/e = 0.736: no upper-branch root
+        raw = E.preset("example1a").to_dict()
+        raw["model"]["bound"] = [0.1]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["transition", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: case b0.1: Gbar(b)=0.904837")
+        assert "no root" in err
+
+    @pytest.mark.parametrize("verb", ["run", "oracle", "approx", "transition",
+                                      "validate"])
+    def test_model_building_failure(self, tmp_path, capsys, verb):
+        # a strong negative log power makes the derived survival rise near 0
+        raw = minimal_config(model={"channel": {"family": "exponential", "rate": 1.0},
+                                    "doc": {"derived": True}, "bound": [20.0]},
+                             alpha=0.5, ell={"kind": "log_power", "coeff": 1.0,
+                                             "exponent": -5.0})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main([verb, "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: case b20: derived survival function is not nonincreasing "
+            "on the check grid\n")
+
+
+@pytest.mark.parametrize("name", E.preset_names())
+def test_approx_prints_the_run_closed_form_cells(tmp_path, capsys, name):
+    kinds = sorted(s.value for s in E.preset(name).curves
+                   if s.value in E.CLOSED_FORMS)
+    assert cli.main(["run", "--preset", name, "--samples", "10000",
+                     "--output", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    for case in E.preset(name).cases():
+        label = case[0]
+        data = (tmp_path / f"{name}_{label}.csv").read_text().splitlines()
+        header = data[0].split(",")
+        rows = [line.split(",") for line in data[1:]]
+        argv = ["approx", "--preset", name, *(f"--n={row[0]}" for row in rows),
+                *(f"--kind={k}" for k in kinds)]
+        assert cli.main(argv) == 0
+        printed = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert printed[0] == ["case", "n", *kinds]
+        mine = [row[2:] for row in printed[1:] if row[0] == label]
+        assert mine == [[row[header.index(k)] for k in kinds] for row in rows]
+    if name == "example2":
+        # n = 1 is outside log_body's domain: an empty cell in both
+        assert mine[0][kinds.index("log_body")] == ""
+
+
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 

@@ -78,12 +78,10 @@ class TestSampleN:
 
     def test_immediate_success_when_document_tiny(self):
         m = _point_mass_model(1e-16)
-        rng = mc.RandomStream(1)
-        assert all(mc.sample_N(m, rng) == 1 for _ in range(100))
+        assert np.all(mc.sample_N_batch(m, mc.RandomStream(1), 100) == 1)
 
     def test_at_least_one_attempt(self, exp_pair_b1):
-        rng = mc.RandomStream(2)
-        assert all(mc.sample_N(exp_pair_b1, rng) >= 1 for _ in range(1000))
+        assert np.all(mc.sample_N_batch(exp_pair_b1, mc.RandomStream(2), 1000) >= 1)
 
     def test_matches_oracle_smoke(self, exp_pair_b1):
         samples = 1_000_000

@@ -6,6 +6,7 @@ integer-index finite sum, mpmath references and Monte Carlo.
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -318,6 +319,15 @@ class TestInvariants:
         monkeypatch.setattr(oracle, "MAX_PANELS", 9)
         with pytest.raises(QuadratureFailure, match=r"above target after \d+ panels$"):
             ccdf_exact(exp_pair_b1, 100_000)
+
+    def test_failure_is_fast(self, exp_pair_b1):
+        # n = 1e5 lies in the band where REL_TOL is below the integrand's
+        # rounding noise (ROADMAP item 3); a failing call stops at the
+        # default budget instead of spending about 840,000 panels
+        with pytest.raises(QuadratureFailure, match=r"after \d+ panels") as info:
+            ccdf_exact(exp_pair_b1, 100_000)
+        panels = int(re.search(r"after (\d+) panels", str(info.value)).group(1))
+        assert panels < 50_000
 
     def test_failure_names_n(self, exp_pair_b1, monkeypatch):
         def spent(*args, **kwargs):

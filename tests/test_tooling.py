@@ -4,8 +4,10 @@ Installing and uninstalling it here makes a rename or deletion of a
 traced name fail the test suite, not a traced benchmark run.
 """
 
+import pytest
+
 from conftest import model_1a
-from retxdist import oracle
+from retxdist import cli, oracle
 
 
 def test_tracer_patches_and_restores_every_name(perfbench):
@@ -35,3 +37,20 @@ def test_oracle_call_records_its_quadrature(perfbench):
     assert recorded.count("oracle.ccdf_exact") == len(grid)
     assert recorded.count("quadrature.integrate") == len(grid)
     assert "quadrature.integrand" in recorded
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--preset", "example1a", "--n", "10"],
+    ["run", "--preset", "example1a", "--samples", "1000", "--n-max", "10",
+     "--curves", "oracle,uniform_approx"],
+])
+def test_closed_forms_resolve_through_asym(perfbench, capsys, argv):
+    # the shared closed-form loop looks asym's functions up when called,
+    # so the tracer's wrappers see every verb's closed forms
+    tracer = perfbench("spans").Tracer()
+    try:
+        tracer.install()
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert "asym.uniform_approx" in [tracer.names[i] for i in tracer.name]
