@@ -133,15 +133,14 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import SeedCache, ccdf_exact
+    from .oracle import ccdf_exact
     cfg = _resolve_config(args)
     counts = _requested_counts(args)
     print("case,n,value,log_value,est_abs_err,subdivisions")
 
     def rows(label, model) -> None:
-        cache = SeedCache(model)
         for n in counts or experiment.candidate_grid(cfg, model):
-            r = ccdf_exact(model, n, cache=cache)
+            r = ccdf_exact(model, n)
             print(f"{label},{r.n},{_fmt(r.value)},{_fmt(r.log_value)},"
                   f"{_fmt(r.est_abs_err)},{r.subdivisions}")
 

@@ -461,10 +461,10 @@ class DerivedLaw:
     s <= 0 and maps s back through the channel's log-survival quantile.
     With ell == 1 the root is log q / alpha in closed form; otherwise a
     vectorized Newton iteration starts there, stays inside a bracket that
-    every evaluation narrows (bisecting when a step leaves it), and stops
-    once its step in s is down to rounding noise. Where log q >= h(0) the
-    law is at or below q already at x = 0, so the quantile is 0, as it is
-    for q = 1.
+    every evaluation narrows (bisecting when a step leaves it or lands on
+    one of its ends), and stops once its step in s is down to rounding
+    noise. Where log q >= h(0) the law is at or below q already at x = 0,
+    so the quantile is 0, as it is for q = 1.
     """
 
     channel: Union[Exponential, Weibull, Gamma]
@@ -538,10 +538,15 @@ class DerivedLaw:
                 h -= target
                 h /= slope
             nxt = np.subtract(cur, h, out=h)
-            # Outside the bracket: bisect it, or step down while unbounded below.
-            stray = ~((nxt >= lo) & (nxt <= hi))
-            lo_s, hi_s = lo[stray], hi[stray]
-            nxt[stray] = np.where(np.isinf(lo_s), 2.0 * hi_s - 1.0, 0.5 * (lo_s + hi_s))
+            # A step lands strictly inside the bracket, and above 2 hi - 1
+            # while it is open below: a flat, noisy h can throw it far past
+            # the root, or back and forth between the bracket's ends. Else
+            # bisect, or step down to 2 hi - 1. A zero step has converged.
+            open_below = np.isinf(lo)
+            floor = np.where(open_below, 2.0 * hi - 1.0, lo) if open_below.any() else lo
+            stray = ~((nxt > floor) & (nxt < hi) | (nxt == cur))
+            lo_s, hi_s, floor_s = lo[stray], hi[stray], floor[stray]
+            nxt[stray] = np.where(np.isinf(lo_s), floor_s, 0.5 * (lo_s + hi_s))
             np.abs(np.subtract(nxt, cur, out=step), out=step)
             cur = nxt
         raise NonConvergence(

@@ -20,20 +20,22 @@ refinement starts. A log_power ell is clamped at x_min, which kinks H at
 w = 1/x_min; that point is one more edge.
 
 H does not depend on n, and seed panels of different n are the same
-lattice panels apart from the ones at 0 and at the kink. A SeedCache
-holds H at the Kronrod nodes of each seed panel it has met, so a curve
-evaluates H once per panel and each grid point's seed pass costs one
-weight evaluation. A cache serves one model over one curve. A lone call
-evaluates H at the same nodes in its first pass, so it returns the same
-bits as inside a curve.
+lattice panels apart from the ones at 0 and at the kink. Each model has
+one seed table, found by value in a module-level weak dictionary: it
+holds every seed by depth and H at the Kronrod nodes of each seed panel
+it has met, so H is evaluated once per panel for as long as the model
+lives, and each call's seed pass costs one weight evaluation. Every call
+goes through the table, so a value does not depend on which calls came
+before it.
 
-Evaluations are pure; concurrent evaluation over grid points is safe
-with a cache per thread.
+Evaluations are pure, and concurrent calls are safe: a race on a table
+only repeats work, and both sides store the same values.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,90 +76,85 @@ class OracleResult:
     evaluations: int = 0
 
 
-def _seed_edges(m: CoupledModel, n: int) -> np.ndarray:
-    """Panel edges in y: 0, then the lattice points from depth
-    ceil(-6 log10(y0)) up to 1, with y0 a quarter of min(1/n, g) (of 1/n
-    when g = 0), plus the kink of a log_power ell where it lies in (0, 1).
-
-    The lattice is fixed, so edges of different n and the panels between
-    them coincide; that is what lets a SeedCache share H across a curve.
-    """
-    g = m.gbar_bound
-    y0 = 0.25 * (min(1.0 / n, g) if g > 0.0 else 1.0 / n)
-    depth = min(math.ceil(-_EDGES_PER_DECADE * math.log10(max(y0, _LATTICE[-1]))),
-                len(_LATTICE) - 1)
-    edges = np.concatenate(([0.0], _LATTICE[depth::-1]))
-    if isinstance(m.ell, SlowVaryLogPower):
-        # a bound below the kink puts it at w <= g, outside the interval
-        kink = (1.0 / m.ell.x_min - g) / (1.0 - g)
-        at = int(np.searchsorted(edges, kink))
-        if kink > 0.0 and edges[at] != kink:
-            edges = np.insert(edges, at, kink)
-    return edges
-
-
 def _survival(m: CoupledModel, y: np.ndarray) -> np.ndarray:
     """H(g + (1 - g) y): the document survival at the channel quantile."""
     g = m.gbar_bound
     return m.doc.ccdf(m.channel.quantile_ccdf(g + (1.0 - g) * y))
 
 
-class SeedCache:
-    """H at the Kronrod nodes of seed panels, keyed by the panel's (lo, hi).
+class _SeedTable:
+    """One model's seeds by lattice depth, and H at the Kronrod nodes of
+    each seed panel it has met, by the panel's (lo, hi).
 
-    Holds one model's values for the length of one curve: ccdf_exact
-    evaluates H only at panels the cache has not met. Grid points whose
-    edges coincide share one assembled array.
+    It holds no reference to the model, so it dies with the model's last
+    reference. Its arrays are shared by every call and are read-only.
     """
 
     def __init__(self, m: CoupledModel) -> None:
-        self.model = m
-        self._rows: dict[tuple[float, float], np.ndarray] = {}
-        self._seeds: dict[bytes, np.ndarray] = {}
-
-    def nodes_survival(self, edges: np.ndarray) -> np.ndarray:
-        """H at panel_nodes of the panels between edges, raveled."""
-        edge_key = edges.tobytes()
-        h = self._seeds.get(edge_key)
-        if h is None:
-            lo, hi = edges[:-1], edges[1:]
-            keys = list(zip(lo.tolist(), hi.tolist()))
-            new = [i for i, key in enumerate(keys) if key not in self._rows]
-            if new:
-                _, ys = panel_nodes(lo[new], hi[new])
-                rows = _survival(self.model, ys.ravel()).reshape(ys.shape)
-                self._rows.update(zip([keys[i] for i in new], rows))
-            h = self._seeds[edge_key] = np.concatenate([self._rows[key] for key in keys])
-        return h
+        g = m.gbar_bound
+        # a bound below the kink puts it at w <= g, outside the interval
+        self.kink = ((1.0 / m.ell.x_min - g) / (1.0 - g)
+                     if isinstance(m.ell, SlowVaryLogPower) else 0.0)
+        self.rows: dict[tuple[float, float], np.ndarray] = {}
+        self.seeds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def ccdf_exact(m: CoupledModel, n: int, *,
-               cache: Optional[SeedCache] = None) -> OracleResult:
-    """Exact P[N_b > n] for one n (n = 0 returns exactly 1), to REL_TOL
-    within MAX_PANELS panels.
+# The seed table of each live model. Keys compare by value, so equal models
+# share one table, and an entry goes when its model is collected.
+_TABLES: weakref.WeakKeyDictionary[CoupledModel, _SeedTable] = weakref.WeakKeyDictionary()
 
-    cache, a SeedCache of m, supplies H at the seed nodes. Without one, H
-    is evaluated at the same nodes in the first integrand pass, which
-    gives the same bits.
+
+def _seed(m: CoupledModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges in y for n, and H at panel_nodes of their panels,
+    raveled, from m's table.
+
+    The edges are 0, then the lattice points from depth ceil(-6 log10(y0))
+    up to 1, with y0 a quarter of min(1/n, g) (of 1/n when g = 0), plus
+    the kink of a log_power ell where it lies in (0, 1).
     """
+    table = _TABLES.get(m)
+    if table is None:
+        table = _TABLES.setdefault(m, _SeedTable(m))
+    g = m.gbar_bound
+    y0 = 0.25 * (min(1.0 / n, g) if g > 0.0 else 1.0 / n)
+    depth = min(math.ceil(-_EDGES_PER_DECADE * math.log10(max(y0, _LATTICE[-1]))),
+                len(_LATTICE) - 1)
+    seed = table.seeds.get(depth)
+    if seed is None:
+        edges = np.concatenate(([0.0], _LATTICE[depth::-1]))
+        if table.kink > 0.0 and table.kink not in edges:
+            edges = np.insert(edges, np.searchsorted(edges, table.kink), table.kink)
+        lo, hi = edges[:-1], edges[1:]
+        keys = list(zip(lo.tolist(), hi.tolist()))
+        new = [i for i, key in enumerate(keys) if key not in table.rows]
+        if new:
+            _, ys = panel_nodes(lo[new], hi[new])
+            rows = _survival(m, ys.ravel()).reshape(ys.shape)
+            table.rows.update(zip([keys[i] for i in new], rows))
+        h = np.concatenate([table.rows[key] for key in keys])
+        edges.flags.writeable = h.flags.writeable = False
+        seed = table.seeds[depth] = (edges, h)
+    return seed
+
+
+def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
+    """Exact P[N_b > n] for one n (n = 0 returns exactly 1), to REL_TOL
+    within MAX_PANELS panels."""
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
-    if cache is not None and cache.model is not m:
-        raise InvalidParameter("seed cache belongs to another model")
     if n == 0:
         return OracleResult(0, 1.0, 0.0, 0, 0.0)
 
-    edges = _seed_edges(m, n)
+    edges, seed_h = _seed(m, n)
     # integrate_adaptive's first pass is over the seed nodes, in this order
-    pending = [] if cache is None else [cache.nodes_survival(edges)]
+    pending = [seed_h]
 
     def integrand(y: np.ndarray) -> np.ndarray:
         h = pending.pop() if pending else _survival(m, y)
         return np.exp((n - 1) * np.log1p(-y)) * h
 
     try:
-        quad = integrate_adaptive(integrand, 0.0, 1.0, rel_tol=REL_TOL,
-                                  max_panels=MAX_PANELS, initial_edges=edges)
+        quad = integrate_adaptive(integrand, edges, rel_tol=REL_TOL, max_panels=MAX_PANELS)
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"n={n}: {exc}") from exc
     if quad.value <= 0.0:
@@ -184,9 +181,8 @@ def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
         raise InvalidParameter("grid must be strictly increasing")
     out: list[OracleResult] = []
     prev_log = math.inf
-    cache = SeedCache(m)
     for n in grid:
-        res = ccdf_exact(m, int(n), cache=cache)
+        res = ccdf_exact(m, int(n))
         if res.log_value > prev_log + 1e-9:
             raise QuadratureFailure(
                 f"oracle curve not monotone at n={n}: log {res.log_value} "

@@ -6,16 +6,16 @@ points matter for the tail integrals this package computes:
 - panels are split in batches (every panel whose error estimate exceeds
   its fair share of the target), so each refinement round costs a single
   vectorized integrand call instead of one call per panel;
-- callers can seed the integrator with custom panel edges. Boundary-layer
-  integrands (mass in a region a tiny fraction of the domain wide) are
-  invisible to uniformly spaced starting panels, which would converge to
-  zero instantly; geometric seed edges keep every layer scale sampled.
+- the caller gives the starting panel edges. Boundary-layer integrands
+  (mass in a region a tiny fraction of the domain wide) are invisible to
+  uniformly spaced starting panels, which would converge to zero
+  instantly; geometric seed edges keep every layer scale sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,9 +43,7 @@ _W_KRONROD = np.concatenate([_WGK[:7], _WGK[::-1]])
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])   # Gauss points interleave
 
-# Starting panels when no edges are given, and the error target's floor
-# for integrals that are 0 or nearly so.
-_INITIAL_PANELS = 8
+# The error target's floor for integrals that are 0 or nearly so.
 _ABS_FLOOR = 1e-320
 
 
@@ -75,31 +73,23 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
     return k, np.abs(k - g)
 
 
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
-                       a: float, b: float, *,
-                       rel_tol: float = 1e-12,
-                       max_panels: int = 1_000_000,
-                       initial_edges: Optional[Sequence[float]] = None) -> QuadResult:
-    """Integrate f over [a, b] to a relative error target.
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float], *,
+                       rel_tol: float, max_panels: int) -> QuadResult:
+    """Integrate f from edges[0] to edges[-1] to a relative error target.
 
-    Starts from initial_edges, or from _INITIAL_PANELS equal panels, and
-    refines until the summed error estimate falls below
-    max(rel_tol * |integral|, _ABS_FLOOR). f is called once per pass with
-    a flat array of nodes; the first call gets panel_nodes of the starting
-    panels, raveled, so a caller may supply values it already holds for
-    them. Raises QuadratureFailure when the panel budget is exhausted or no
-    offending panel can be split further; either message gives the panels
-    spent.
+    Starts from the panels between edges and refines until the summed
+    error estimate falls below max(rel_tol * |integral|, _ABS_FLOOR). f is
+    called once per pass with a flat array of nodes; the first call gets
+    panel_nodes of the starting panels, raveled, so a caller may supply
+    values it already holds for them. Raises QuadratureFailure when the
+    edges do not ascend, when max_panels is exhausted, or when no
+    offending panel can be split further; the last two messages give the
+    panels and evaluations spent.
     """
-    if not b > a:
-        raise QuadratureFailure(f"empty or inverted interval [{a}, {b}]")
-    if initial_edges is not None:
-        edges = np.asarray(initial_edges, dtype=float)
-        if edges[0] != a or edges[-1] != b or np.any(np.diff(edges) <= 0):
-            raise QuadratureFailure("initial edges must ascend from a to b")
-    else:
-        edges = np.linspace(a, b, _INITIAL_PANELS + 1)
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
+    edges = np.asarray(edges, dtype=float)
+    if edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise QuadratureFailure("panel edges must ascend")
+    lo, hi = edges[:-1], edges[1:]
     vals, errs = _eval_panels(f, lo, hi)
     evaluations = 15 * len(lo)
 
@@ -125,7 +115,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
                 f"{evaluations} evaluations")
         if len(lo) + int(mask.sum()) > max_panels:
             raise QuadratureFailure(
-                f"error {total_err:.3e} above target after {len(lo)} panels")
+                f"error {total_err:.3e} above target after {len(lo)} panels and "
+                f"{evaluations} evaluations")
 
         slo, shi = lo[mask], hi[mask]
         smid = 0.5 * (slo + shi)

@@ -467,6 +467,28 @@ class TestDerivedQuantile:
         with pytest.raises(NonConvergence):
             law.quantile_ccdf(np.array([0.5, 1e-3]))
 
+    def test_zero_step_ends_the_iteration(self, monkeypatch):
+        # above the clamp (-s < log x_min = 1) ell is 1 and h(s) = alpha s;
+        # for these log q Newton starts exactly at the root, and its zero
+        # step ends the iteration on the second pass
+        law = derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0),
+                             16.0).doc.base
+        log_q = -1.5 * np.arange(1, 8) / 8.0
+        monkeypatch.setattr(DerivedLaw, "QUANTILE_MAX_ITER", 2)
+        assert np.array_equal(law._solve_log_survival(log_q), log_q / 1.5)
+
+    def test_flat_noisy_h_converges(self):
+        # shape 2.5: h'(0) = 0, so first steps overshoot far below the root,
+        # and h carries about 4e-15 of rounding noise, so Newton can land on
+        # either end of a bracket a few ulps wide
+        law = derive_doc_law(Exponential(2.0), 1.0,
+                             SlowVaryGammaDoc(2.0, 2.5, 2.0), 3.0).doc.base
+        q = RandomStream(46).uniforms(200_000)
+        s = law.channel.log_ccdf(law.quantile_ccdf(q))
+        h = dists._derived_log_raw(law.alpha, law.ell, s)
+        log_q = np.log(q)
+        assert np.all(np.abs(h - log_q) <= 64 * np.finfo(float).eps * (1.0 - log_q))
+
 
 
 # (rate, shape, bound): one part only (F(b) <= 1/2), both parts, and a

@@ -5,8 +5,10 @@ uniform-transform identity (unbounded unit-index models), the
 integer-index finite sum, mpmath references and Monte Carlo.
 """
 
+import gc
 import math
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -140,8 +142,15 @@ class TestDeepTail:
 class TestSweep:
     @pytest.mark.parametrize("name", experiment.preset_names()
                              + ["derived-exp", "derived-weibull"])
-    def test_auto_grid(self, perfbench, name):
+    def test_auto_grid(self, perfbench, monkeypatch, name):
         # every case over its whole auto candidate grid, deep tails included
+        def fresh_tables():
+            monkeypatch.setattr(oracle, "_TABLES", weakref.WeakKeyDictionary())
+
+        def cold(m, n):
+            fresh_tables()
+            return ccdf_exact(m, n)
+
         workloads = perfbench("workloads")
         derived = {c["name"]: c for c in (workloads.DERIVED_EXPONENTIAL,
                                           workloads.DERIVED_WEIBULL)}
@@ -150,9 +159,13 @@ class TestSweep:
         for label, channel, doc, bound in cfg.cases():
             m = experiment.build_model(channel, doc, cfg.alpha, cfg.ell, bound)
             grid = experiment.candidate_grid(cfg, m)
-            lone = [ccdf_exact(m, n) for n in grid]
-            # a lone call builds the curve's seed from scratch: same bits
+            lone = [cold(m, n) for n in grid]
+            # a table warmed by other calls, in either order, gives the
+            # bits of a cold one
+            fresh_tables()
             assert ccdf_exact_curve(m, grid) == lone, label
+            fresh_tables()
+            assert [ccdf_exact(m, n) for n in reversed(grid)] == lone[::-1], label
             logs = [r.log_value for r in lone]
             assert all(math.isfinite(v) for v in logs), label
             assert all(b <= a for a, b in zip(logs, logs[1:])), label
@@ -163,8 +176,8 @@ class TestSweep:
                     assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref)), (label, n)
 
 
-def _preset_models():
-    for name in experiment.preset_names():
+def _preset_models(*names):
+    for name in names or experiment.preset_names():
         cfg = experiment.preset(name)
         for label, channel, doc, bound in cfg.cases():
             yield f"{name}/{label}", experiment.build_model(channel, doc, cfg.alpha,
@@ -179,7 +192,8 @@ class TestSeed:
                   ("log_power b16", model_log_power(16.0))]
         for label, m in models:
             g = m.gbar_bound
-            edges = oracle._seed_edges(m, n)
+            edges, h = oracle._seed(m, n)
+            assert h.size == 15 * (edges.size - 1), label
             assert edges[0] == 0.0 and edges[-1] == 1.0, label
             assert np.all(np.diff(edges) > 0.0), label
             kink = None
@@ -193,9 +207,10 @@ class TestSeed:
             y0 = 0.25 * min(1.0 / n, g)
             assert 10.0 ** (-1 / 6) * y0 < lattice[0] <= y0, label
 
-    def test_curve_evaluates_each_seed_panel_once(self):
-        # the channel quantile runs once per H evaluation; over a curve, each
-        # seed panel's nodes reach it once (refinement nodes are other points)
+    def test_model_evaluates_each_seed_panel_once(self):
+        # the channel quantile runs once per H evaluation; over a curve and
+        # later lone calls, each seed panel's nodes reach it once (refinement
+        # nodes are other points)
         class Counting:
             def __init__(self, law):
                 self.law = law
@@ -215,9 +230,11 @@ class TestSeed:
         grid = [round(10 ** (k / 5)) for k in range(30)]
         assert len(set(grid)) == 30
         ccdf_exact_curve(m, grid)
+        for n in reversed(grid):
+            ccdf_exact(m, n)
         panels = set()
         for n in grid:
-            edges = oracle._seed_edges(m, n)
+            edges, _ = oracle._seed(m, n)
             panels.update(zip(edges[:-1].tolist(), edges[1:].tolist()))
         lo, hi = (np.array(side) for side in zip(*sorted(panels)))
         _, ys = panel_nodes(lo, hi)
@@ -235,9 +252,44 @@ class TestSeed:
             want = math.log(2.0 / ((n + 1) * (n + 2)))
             assert ccdf_exact(m, n).log_value == pytest.approx(want, rel=1e-13)
 
-    def test_cache_of_another_model_refused(self):
-        with pytest.raises(InvalidParameter, match="another model"):
-            ccdf_exact(model_1a(1.0), 5, cache=oracle.SeedCache(model_1a(2.0)))
+    def test_table_dies_with_its_model(self, monkeypatch):
+        tables = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(oracle, "_TABLES", tables)
+        m = model_log_power(16.0)
+        ccdf_exact(m, 5)
+        table = weakref.ref(tables[m])
+        del m
+        gc.collect()
+        assert len(tables) == 0 and table() is None
+
+    def test_equal_models_share_one_table(self, monkeypatch):
+        tables = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(oracle, "_TABLES", tables)
+        a, b = model_log_power(16.0), model_log_power(16.0)
+        assert a is not b and a == b
+        first = ccdf_exact(a, 100)
+        assert ccdf_exact(b, 100) == first
+        assert len(tables) == 1 and tables[a] is tables[b]
+
+    @pytest.mark.parametrize("name", experiment.preset_names())
+    def test_cli_rows_equal_cold_lone_calls(self, monkeypatch, capsys, name):
+        # repeated and unsorted counts: the second n = 1000 finds the table
+        # warmed by the first and by n = 5
+        counts = [1000, 5, 1000]
+        monkeypatch.setattr(oracle, "_TABLES", weakref.WeakKeyDictionary())
+        argv = ["oracle", "--preset", name] + [a for n in counts for a in ("--n", str(n))]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        want = []
+        for label, m in _preset_models(name):
+            for n in counts:
+                monkeypatch.setattr(oracle, "_TABLES", weakref.WeakKeyDictionary())
+                r = ccdf_exact(m, n)
+                want.append(",".join([label.split("/")[1], str(r.n)]
+                                     + [cli._fmt(v) for v in (r.value, r.log_value,
+                                                              r.est_abs_err)]
+                                     + [str(r.subdivisions)]))
+        assert rows == want
 
 
 class TestCurves:
@@ -274,9 +326,9 @@ class TestCurves:
     def test_stop_below_evaluates_one_point_past(self, exp_pair_b1, monkeypatch):
         seen = []
 
-        def counted(m, n, **kw):
+        def counted(m, n):
             seen.append(n)
-            return ccdf_exact(m, n, **kw)
+            return ccdf_exact(m, n)
 
         monkeypatch.setattr(oracle, "ccdf_exact", counted)
         out = ccdf_exact_curve(exp_pair_b1, range(1, 10_000), stop_below=1e-3)
@@ -317,7 +369,8 @@ class TestInvariants:
     def test_failure_on_tiny_budget(self, exp_pair_b1, monkeypatch):
         # the budget is read at call time
         monkeypatch.setattr(oracle, "MAX_PANELS", 9)
-        with pytest.raises(QuadratureFailure, match=r"above target after \d+ panels$"):
+        with pytest.raises(QuadratureFailure, match=r"above target after \d+ panels "
+                                                    r"and \d+ evaluations$"):
             ccdf_exact(exp_pair_b1, 100_000)
 
     def test_failure_is_fast(self, exp_pair_b1):
@@ -343,7 +396,7 @@ class TestInvariants:
         passes = []
 
         def nonpositive(*args, **kwargs):
-            passes.append(kwargs["initial_edges"])
+            passes.append(args[1])
             return QuadResult(integral, 0.0, 3, 45)
 
         monkeypatch.setattr(oracle, "integrate_adaptive", nonpositive)
@@ -353,7 +406,7 @@ class TestInvariants:
         assert len(passes) == 1
 
     def test_non_monotone_curve_names_its_spend(self, exp_pair_b1, monkeypatch):
-        def rising(m, n, cache=None):
+        def rising(m, n):
             return OracleResult(n, 0.0, 0.0, 10 * n, -100.0 + n, 150 * n)
 
         monkeypatch.setattr(oracle, "ccdf_exact", rising)
