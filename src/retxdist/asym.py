@@ -79,9 +79,7 @@ def _exp(v: float) -> float:
 
 
 def neg_log_one_minus(g: float) -> float:
-    """-log(1 - g) without cancellation; series below 1e-8."""
-    if g < 1e-8:
-        return g + 0.5 * g * g
+    """-log(1 - g) without cancellation."""
     return -math.log1p(-g)
 
 

@@ -75,7 +75,7 @@ def _add_model_args(p: argparse.ArgumentParser, with_run_knobs: bool = True) -> 
     if with_run_knobs:
         p.add_argument("--samples", type=int, help="Monte Carlo sample budget")
         p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--workers", type=int, help="number of RNG substreams")
+        p.add_argument("--workers", type=int, help="processes; output does not depend on it")
         p.add_argument("--confidence", type=float, help="CI confidence level")
         p.add_argument("--output", help="output path prefix")
         p.add_argument("--format", choices=("csv", "json"), dest="format",

@@ -462,8 +462,8 @@ class DerivedLaw:
     With ell == 1 the root is log q / alpha in closed form; otherwise a
     vectorized Newton iteration starts there, stays inside a bracket that
     every evaluation narrows (bisecting when a step leaves it or lands on
-    one of its ends), and stops once its step in s is down to rounding
-    noise. Where log q >= h(0) the law is at or below q already at x = 0,
+    one of its ends), and stops once h(s) is within rounding noise of
+    log q. Where log q >= h(0) the law is at or below q already at x = 0,
     so the quantile is 0, as it is for q = 1.
     """
 
@@ -473,7 +473,7 @@ class DerivedLaw:
     x_anchor: float
     family = "derived"
 
-    QUANTILE_STEP_TOL = 4.0 * np.finfo(float).eps
+    QUANTILE_RESIDUAL_TOL = 64.0 * np.finfo(float).eps
     QUANTILE_MAX_ITER = 100
 
     def log_ccdf(self, x: ArrayLike) -> ArrayLike:
@@ -500,14 +500,17 @@ class DerivedLaw:
         log_q = 0 never enters Newton: h(0) can round above 0 (ell(1) just
         below 1), and the iterate for q = 1 would then run away.
 
-        An iterate is accepted once the step that reached it is within the
-        rounding noise of s, widened by 1/h'(s) where h' < 1: where h is
-        flat (q near 1 under gamma_doc_exact) s is known no better than that.
+        An iterate is accepted once its residual |h(s) - log_q| is within
+        QUANTILE_RESIDUAL_TOL (1 + |log_q|), so the law's survival there is
+        q to that relative error however steep h is. Where h is too noisy
+        for that, the iterate stops moving once the bracket has closed to
+        adjacent doubles, and is accepted then.
         """
         s = np.zeros_like(log_q)
         h_at_zero = -math.log(self.ell.value_log(0.0))
         idx = np.flatnonzero((log_q < h_at_zero) & (log_q < 0.0))
         target = log_q[idx]
+        tol = self.QUANTILE_RESIDUAL_TOL * (1.0 - target)
         cur = target / self.alpha
         step = np.full_like(cur, np.inf)
         lo = np.full_like(cur, -np.inf)     # h(lo) < target <= h(hi)
@@ -515,33 +518,26 @@ class DerivedLaw:
         # The active set shrinks only when an iterate is accepted; between
         # shrinks every update runs in place, in the arrays it replaces.
         for _ in range(self.QUANTILE_MAX_ITER):
-            h = _derived_log_raw(self.alpha, self.ell, cur)
-            slope = self.alpha + self.ell.log_slope(-cur)
-            # noise = QUANTILE_STEP_TOL * (1 + |cur|), divided by h' where 0 < h' < 1
-            noise = np.abs(cur)
-            noise += 1.0
-            noise *= self.QUANTILE_STEP_TOL
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(noise, np.minimum(slope, 1.0), out=noise, where=slope > 0.0)
-            done = step <= noise
+            resid = _derived_log_raw(self.alpha, self.ell, cur)
+            resid -= target
+            done = (np.abs(resid) <= tol) | (step == 0.0)
             if done.any():
                 s[idx[done]] = cur[done]
                 keep = ~done
-                idx, target, cur, h, slope, lo, hi, step = (
-                    a[keep] for a in (idx, target, cur, h, slope, lo, hi, step))
+                idx, target, tol, cur, resid, lo, hi, step = (
+                    a[keep] for a in (idx, target, tol, cur, resid, lo, hi, step))
             if idx.size == 0:
                 return s
-            below = h < target
+            below = resid < 0.0
             np.copyto(lo, cur, where=below)
             np.copyto(hi, cur, where=~below)
             with np.errstate(divide="ignore", invalid="ignore"):
-                h -= target
-                h /= slope
-            nxt = np.subtract(cur, h, out=h)
+                resid /= self.alpha + self.ell.log_slope(-cur)
+            nxt = np.subtract(cur, resid, out=resid)
             # A step lands strictly inside the bracket, and above 2 hi - 1
             # while it is open below: a flat, noisy h can throw it far past
             # the root, or back and forth between the bracket's ends. Else
-            # bisect, or step down to 2 hi - 1. A zero step has converged.
+            # bisect, or step down to 2 hi - 1. A zero step is accepted.
             open_below = np.isinf(lo)
             floor = np.where(open_below, 2.0 * hi - 1.0, lo) if open_below.any() else lo
             stray = ~((nxt > floor) & (nxt < hi) | (nxt == cur))

@@ -216,6 +216,12 @@ class ExperimentConfig:
 _TOP_KEYS = {"name", "model", "alpha", "ell", "grid", "samples", "seed",
              "workers", "confidence", "curves", "output", "format",
              "variants", "skip_coupling_check"}
+# Optional top-level keys as (key, ExperimentConfig field, converter); a
+# key left out takes the field's default.
+_OPTIONAL_KEYS = (("samples", "samples", int), ("seed", "seed", int),
+                  ("workers", "workers", int), ("confidence", "confidence", float),
+                  ("format", "fmt", str),
+                  ("skip_coupling_check", "skip_coupling_check", bool))
 
 
 def _infer_alpha(channel: Law, doc: Law) -> float:
@@ -258,10 +264,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigInvalid("derived models require an explicit alpha")
         grid_raw = raw.get("grid", {})
         grid = GridSpec(
-            n_min=int(grid_raw.get("n_min", 1)),
             n_max=(int(grid_raw["n_max"]) if grid_raw.get("n_max") is not None
                    else None),
-            points_per_decade=int(grid_raw.get("points_per_decade", 24)))
+            **{key: int(grid_raw[key]) for key in ("n_min", "points_per_decade")
+               if key in grid_raw})
         curves = raw.get("curves")
         if curves is None:
             curve_set = DEFAULT_CURVES
@@ -280,16 +286,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         return ExperimentConfig(
             name=str(raw.get("name", "experiment")),
             channel=channel, doc_base=doc_base, bounds=bounds, alpha=alpha,
-            ell=ell, grid=grid,
-            samples=int(raw.get("samples", DEFAULT_SAMPLES)),
-            seed=int(raw.get("seed", 20260808)),
-            workers=int(raw.get("workers", 1)),
-            confidence=float(raw.get("confidence", 0.95)),
-            curves=curve_set,
-            output_prefix=raw.get("output"),
-            fmt=str(raw.get("format", "csv")),
+            ell=ell, grid=grid, curves=curve_set, output_prefix=raw.get("output"),
             variants=variants,
-            skip_coupling_check=bool(raw.get("skip_coupling_check", False)))
+            **{field_name: convert(raw[key])
+               for key, field_name, convert in _OPTIONAL_KEYS if key in raw})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc!r}") from exc
 

@@ -69,26 +69,27 @@ def _check_alpha(alpha: float) -> None:
         raise GammaOverflowError(f"alpha={alpha} exceeds overflow cap {ALPHA_CAP}")
 
 
-def gamma(alpha: float) -> float:
-    """Complete Gamma function for 0 < alpha <= 170."""
+def _lanczos(alpha: float) -> tuple[float, float, float]:
+    """(z, t, acc) of the Lanczos kernel at z = alpha - 1: Gamma(alpha) is
+    sqrt(2 pi) acc t^(z+0.5) e^(-t)."""
     _check_alpha(alpha)
     z = alpha - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    return z, z + _LANCZOS_G + 0.5, acc
+
+
+def gamma(alpha: float) -> float:
+    """Complete Gamma function for 0 < alpha <= 170."""
+    z, t, acc = _lanczos(alpha)
     # exp of the assembled log keeps t^(z+0.5) from overflowing near the cap
     return math.sqrt(2.0 * math.pi) * acc * math.exp((z + 0.5) * math.log(t) - t)
 
 
 def log_gamma(alpha: float) -> float:
     """log Gamma(alpha) for 0 < alpha <= 170 (same Lanczos kernel)."""
-    _check_alpha(alpha)
-    z = alpha - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    z, t, acc = _lanczos(alpha)
     return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 

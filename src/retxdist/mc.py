@@ -9,17 +9,17 @@ O(E[N]) per-sample cost of the literal retry loop, which matters in the
 power-law regime where E[N] can be enormous. The literal loop is kept as
 sample_N_naive purely so the two can be tested against each other.
 
-Streams are Philox counter-based: (seed, stream_id) is the key, so
-distinct stream ids give independent sequences and the same pair always
-reproduces bit-identical output regardless of scheduling.
-
-A stream is drawn in blocks of _BLOCK samples: all of a block's document
-uniforms, then all of its geometric uniforms. A block is self-contained,
-so the first k whole blocks of a stream are the same whatever its length,
-and the working set is a few block-sized temporaries that stay in cache.
-A tally bins a block's counts through a table of grid positions built
-once per stream, which equals searchsorted binning bit for bit, and adds
-one bincount per block.
+A run draws one Philox stream, keyed by the seed alone, in blocks of
+_BLOCK samples: all of a block's document uniforms, then all of its
+geometric uniforms. A block is self-contained, so the first k whole
+blocks of a stream are the same whatever its length, and the working set
+is a few block-sized temporaries that stay in cache. Every whole block
+takes the same number of Philox counter steps, so a process can start
+at any block by advancing the counter; run_tally splits a run into spans
+of whole blocks that way, and its output depends on the seed alone, not
+on how many processes drew it. A tally bins a block's counts through a
+table of grid positions built once per span, which equals searchsorted
+binning bit for bit, and adds one bincount per block.
 
 A run ends in a Tally of exceedance counts over a grid; empirical_ccdf
 turns it into the three Monte Carlo columns of a case table.
@@ -27,6 +27,7 @@ turns it into the three Monte Carlo columns of a case table.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -40,6 +41,9 @@ from .errors import InvalidParameter
 
 # Samples per draw block: a block's temporaries stay in cache.
 _BLOCK = 1 << 14
+# Philox counter steps per block: a block draws 2 * _BLOCK doubles, one
+# 64-bit output each, and a counter step yields four outputs.
+_BLOCK_STEPS = 2 * _BLOCK // 4
 _N_CAP = 1 << 62
 # A tally's binning table covers counts up to the grid's end, at most this.
 _TABLE_MAX = 1 << 16
@@ -47,20 +51,18 @@ _SURE_SUCCESS = 1.0 - 1e-15
 
 
 class RandomStream:
-    """Single-owner random substream keyed by (seed, stream_id)."""
+    """Single-owner random stream: Philox keyed by the seed."""
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("seed", "_gen")
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
         self._gen = None
 
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = np.array([self.seed % 2**64, self.stream_id % 2**64],
-                           dtype=np.uint64)
+            key = np.array([self.seed % 2**64, 0], dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
@@ -72,7 +74,7 @@ class RandomStream:
         return 1.0 - self.generator.random(size)
 
     def __repr__(self) -> str:
-        return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
+        return f"RandomStream(seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -190,11 +192,12 @@ def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
 
 
 def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
-                  seed: int, stream_id: int) -> Tally:
-    """Tally one worker stream, block by block, so memory stays bounded.
+                  seed: int, first_block: int) -> Tally:
+    """Tally quota samples of the seed's stream from block first_block on,
+    block by block, so memory stays bounded.
 
     Counts are binned through lut[k] = searchsorted(grid, k) for k = 0..top,
-    built once per stream; top is the grid's end plus one, capped at
+    built once per call; top is the grid's end plus one, capped at
     _TABLE_MAX. Counts >= top are looked up at top, which is exact unless
     the grid runs past the table: there the counts above top go through
     searchsorted. So each bin equals searchsorted(grid, n, side="left") bit
@@ -205,7 +208,9 @@ def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
     top = min(max(end, 0), _TABLE_MAX)
     lut = np.searchsorted(grid_arr, np.arange(top + 1), side="left")
     bins = np.zeros(len(grid_arr) + 1, dtype=np.int64)
-    for n in _count_blocks(m, RandomStream(seed, stream_id).generator, quota):
+    gen = RandomStream(seed).generator
+    gen.bit_generator.advance(first_block * _BLOCK_STEPS)
+    for n in _count_blocks(m, gen, quota):
         # counts are >= 1, so clip mode only clamps them to top
         idx = lut.take(n, mode="clip")
         if end > top:
@@ -223,36 +228,32 @@ def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
 
 def run_tally(m: CoupledModel, grid: Sequence[int], samples: int,
               seed: int, workers: int = 1) -> Tally:
-    """Exceedance tally over the grid, partitioned across worker streams.
+    """Exceedance tally over the grid of samples draws from the seed's stream.
 
-    Sample quotas split as evenly as possible over stream ids
-    0..workers-1, so the result is bit-identical for a fixed
-    (seed, workers) pair no matter how the streams are scheduled. Streams
-    run in parallel processes when more than one CPU is available.
+    workers is a process count only: the result depends on the seed alone.
+    The stream's blocks split into at most min(workers, CPUs) spans of whole
+    blocks, the last taking the partial block; each span runs in its own
+    process from its first block, and the spans' tallies add exactly.
     """
     if samples < 1:
         raise InvalidParameter(f"samples must be >= 1, got {samples}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
-    base, extra = divmod(samples, workers)
-    quotas = [(wid, base + (1 if wid < extra else 0)) for wid in range(workers)]
-    quotas = [(wid, q) for wid, q in quotas if q > 0]
+    blocks = -(-samples // _BLOCK)
+    runs = min(workers, blocks, os.cpu_count() or 1)
+    if runs == 1:
+        return _stream_tally(m, grid, samples, seed, 0)
 
-    if len(quotas) > 1 and (os.cpu_count() or 1) > 1:
-        # imported here: the pool machinery costs every run memory, and only
-        # this branch needs it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(len(quotas), os.cpu_count())) as pool:
-            futures = [pool.submit(_stream_tally, m, grid, q, seed, wid)
-                       for wid, q in quotas]
-            parts = [f.result() for f in futures]
-    else:
-        parts = [_stream_tally(m, grid, q, seed, wid) for wid, q in quotas]
-
-    tally = parts[0]
-    for part in parts[1:]:
-        tally = tally.merge(part)
-    return tally
+    starts = [blocks * k // runs for k in range(runs + 1)]
+    quotas = [min(stop * _BLOCK, samples) - start * _BLOCK
+              for start, stop in zip(starts, starts[1:])]
+    # imported here: the pool machinery costs every run memory, and only
+    # this branch needs it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=runs) as pool:
+        futures = [pool.submit(_stream_tally, m, grid, quota, seed, start)
+                   for quota, start in zip(quotas, starts)]
+        return functools.reduce(Tally.merge, (f.result() for f in futures))
 
 
 def wilson_interval(successes: int, total: int, confidence: float) -> tuple[float, float]:

@@ -477,6 +477,18 @@ class TestDerivedQuantile:
         monkeypatch.setattr(DerivedLaw, "QUANTILE_MAX_ITER", 2)
         assert np.array_equal(law._solve_log_survival(log_q), log_q / 1.5)
 
+    @pytest.mark.parametrize("ell, channel, alpha, bound", [
+        (SlowVaryGammaDoc(2.0, 0.5, 2.0), Exponential(2.0), 1.0, 3.0),
+        (SlowVaryLogPower(1.0, 1.0), Weibull(0.5, 1.0), 1.5, 16.0)])
+    def test_residual_near_q_one(self, ell, channel, alpha, bound):
+        # shape 0.5: h' grows like |s|^(-1/2) near 0, so a step within
+        # rounding noise of s still leaves h far from log q
+        law = derive_doc_law(channel, alpha, ell, bound).doc.base
+        log_q = np.log(1.0 - 10.0 ** -np.arange(1.0, 16.0))
+        s = law._solve_log_survival(log_q)
+        h = dists._derived_log_raw(law.alpha, law.ell, s)
+        assert np.all(np.abs(h - log_q) <= 64 * np.finfo(float).eps * (1.0 - log_q))
+
     def test_flat_noisy_h_converges(self):
         # shape 2.5: h'(0) = 0, so first steps overshoot far below the root,
         # and h carries about 4e-15 of rounding noise, so Newton can land on

@@ -82,6 +82,15 @@ class TestConfigParsing:
         assert clone.bounds == cfg.bounds
         assert clone.curves == cfg.curves
 
+    def test_left_out_keys_take_the_dataclass_defaults(self):
+        raw = {"model": minimal_config()["model"]}
+        cfg = E.parse_config(raw)
+        want = E.ExperimentConfig(name="experiment", channel=cfg.channel,
+                                  doc_base=cfg.doc_base, bounds=(1.0,), alpha=2.0)
+        assert cfg == want and cfg.grid == E.GridSpec()
+        raw["grid"] = {"n_max": 30}
+        assert E.parse_config(raw).grid == E.GridSpec(n_max=30)
+
     def test_weibull_alpha_inference(self):
         raw = minimal_config()
         raw["model"] = {"channel": {"family": "weibull", "index": 2.0, "scale": 2.0},
@@ -392,6 +401,18 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "case b1" in out and "wrote" in out
+
+    def test_run_csv_does_not_depend_on_workers(self, tmp_path, capsys, monkeypatch):
+        # two CPUs even on a single-CPU box, so --workers 2 takes the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for workers in ("1", "2"):
+            assert cli.main(["run", "--preset", "example4", "--samples", "40000",
+                             "--workers", workers,
+                             "--output", str(tmp_path / f"w{workers}")]) == 0
+        for label, *_ in E.preset("example4").cases():
+            name = f"_{label}.csv"
+            assert ((tmp_path / ("w1" + name)).read_bytes()
+                    == (tmp_path / ("w2" + name)).read_bytes())
 
     def test_preset_verb(self, capsys):
         assert cli.main(["preset", "example1a"]) == 0
