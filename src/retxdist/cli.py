@@ -13,6 +13,10 @@ failure inside a case is reported as "error: case <label>: ...". approx
 prints experiment.closed_form_columns, the cells run writes: empty where
 a form is undefined.
 
+Each flag that sets a run parameter has its config key as its dest
+("grid.n_max" for --n-max); the config dict of the file or preset gets the
+given flags written in and is parsed once.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
@@ -26,8 +30,7 @@ from typing import Optional, Sequence
 
 from . import asym, experiment
 from .errors import ConfigInvalid, IoFailure, RetxError
-from .experiment import (ExperimentConfig, Source, _fmt, load_config, preset,
-                         preset_names)
+from .experiment import ExperimentConfig, _fmt, parse_config, preset, preset_names
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,40 +38,22 @@ EXIT_NUMERIC = 3
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None) and getattr(args, "preset", None):
+    if args.config and args.preset:
         raise ConfigInvalid("give either --config or --preset, not both")
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    elif getattr(args, "preset", None):
-        cfg = preset(args.preset)
+    if args.config:
+        raw = experiment.read_config(args.config)
+    elif args.preset:
+        raw = experiment.preset_dict(args.preset)
     else:
         raise ConfigInvalid("one of --config or --preset is required")
-    overrides = {}
-    for name in ("samples", "seed", "workers", "confidence"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "output", None) is not None:
-        overrides["output_prefix"] = args.output
-    if getattr(args, "format", None) is not None:
-        overrides["fmt"] = args.format
-    if getattr(args, "n_max", None) is not None:
-        overrides["grid"] = experiment.GridSpec(
-            cfg.grid.n_min, args.n_max, cfg.grid.points_per_decade)
-    if getattr(args, "curves", None):
-        try:
-            overrides["curves"] = frozenset(
-                Source(c.strip()) for c in args.curves.split(",") if c.strip())
-        except ValueError as exc:
-            raise ConfigInvalid(f"unknown curve source: {exc}") from None
-    if getattr(args, "skip_coupling_check", False):
-        overrides["skip_coupling_check"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    for key, value in vars(args).items():
+        if key in experiment.CONFIG_KEYS and value is not None:
+            experiment.set_key(raw, key, value)
+    return parse_config(raw)
 
 
 def _add_model_args(p: argparse.ArgumentParser, with_run_knobs: bool = True) -> None:
+    """--config and --preset, and with_run_knobs the flags of run."""
     p.add_argument("--config", help="path to a JSON experiment config")
     p.add_argument("--preset", choices=preset_names(),
                    help="use a named preset configuration")
@@ -78,14 +63,17 @@ def _add_model_args(p: argparse.ArgumentParser, with_run_knobs: bool = True) -> 
         p.add_argument("--workers", type=int, help="processes; output does not depend on it")
         p.add_argument("--confidence", type=float, help="CI confidence level")
         p.add_argument("--output", help="output path prefix")
-        p.add_argument("--format", choices=("csv", "json"), dest="format",
-                       help="data file format")
-        p.add_argument("--n-max", type=int, dest="n_max",
-                       help="explicit grid upper end (disables auto sizing)")
-        p.add_argument("--curves", help="comma-separated curve sources")
-        p.add_argument("--skip-coupling-check", action="store_true",
-                       dest="skip_coupling_check",
+        p.add_argument("--format", choices=("csv", "json"), help="data file format")
+        _add_n_max(p)
+        p.add_argument("--curves", help="comma-separated curve sources",
+                       type=lambda s: [c.strip() for c in s.split(",") if c.strip()])
+        p.add_argument("--skip-coupling-check", action="store_true", default=None,
                        help="run even when the coupling residual exceeds 0.05")
+
+
+def _add_n_max(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-max", type=int, dest="grid.n_max", metavar="N_MAX",
+                   help="explicit grid upper end (disables auto sizing)")
 
 
 def _requested_counts(args: argparse.Namespace) -> Optional[list[int]]:
@@ -214,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p_oracle, with_run_knobs=False)
     p_oracle.add_argument("--n", type=int, action="append",
                           help="evaluate at this count (repeatable)")
-    p_oracle.add_argument("--n-max", type=int, dest="n_max")
+    _add_n_max(p_oracle)
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     p_approx = sub.add_parser("approx", help="closed-form approximations")
@@ -222,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--n", type=int, action="append")
     p_approx.add_argument("--kind", action="append",
                           help=f"one of {sorted(experiment.CLOSED_FORMS)} (repeatable)")
-    p_approx.add_argument("--n-max", type=int, dest="n_max")
+    _add_n_max(p_approx)
     p_approx.set_defaults(fn=_cmd_approx)
 
     p_tr = sub.add_parser("transition", help="transition-point report")

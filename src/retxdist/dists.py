@@ -18,8 +18,9 @@ The gamma family evaluates through scipy.special, cross-checked against
 the in-house incomplete Gamma in the tests. sampling_quantile gives Monte
 Carlo a certified quantile table for bounded gamma documents.
 
-All classes are immutable after construction and safe to share across
-workers.
+Laws carry a family tag and slowly varying functions a kind tag, which
+the config format (experiment.py) maps with their dataclass fields. All
+classes are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class Exponential:
         """x such that log ccdf(x) = log_q, for log_q <= 0."""
         return np.asarray(log_q, dtype=float) / -self.rate
 
-    def params(self) -> dict:
-        return {"family": self.family, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Weibull:
@@ -114,9 +112,6 @@ class Weibull:
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         return self.scale * np.power(-np.asarray(log_q, dtype=float), 1.0 / self.index)
-
-    def params(self) -> dict:
-        return {"family": self.family, "index": self.index, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -153,9 +148,6 @@ class Gamma:
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         """Survival quantile at exp(log_q), floored at the smallest subnormal."""
         return self.quantile_ccdf(np.maximum(np.exp(log_q), 5e-324))
-
-    def params(self) -> dict:
-        return {"family": self.family, "rate": self.rate, "shape": self.shape}
 
 
 def _check_q(q: ArrayLike) -> np.ndarray:
@@ -326,9 +318,6 @@ class SlowVaryOne:
     def value_log(self, log_y: ArrayLike) -> ArrayLike:
         return np.ones_like(np.asarray(log_y, dtype=float))[()]
 
-    def params(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class SlowVaryLogPower:
@@ -360,10 +349,6 @@ class SlowVaryLogPower:
         log_y = np.asarray(log_y, dtype=float)
         floor = math.log(self.x_min)
         return np.where(log_y > floor, self.exponent / np.maximum(log_y, floor), 0.0)[()]
-
-    def params(self) -> dict:
-        return {"kind": self.kind, "coeff": self.coeff,
-                "exponent": self.exponent, "x_min": self.x_min}
 
 
 # Above this doc_rate * t the closed form e^(z) Q(shape, z) of a
@@ -427,10 +412,6 @@ class SlowVaryGammaDoc:
         """d log ell / d log y = -f'(t) / (channel_rate f(t)), t = log y / channel_rate."""
         t = np.asarray(log_y, dtype=float) / self.channel_rate
         return (-self._f(t, deriv=True) / (self.channel_rate * self._f(t)))[()]
-
-    def params(self) -> dict:
-        return {"kind": self.kind, "doc_rate": self.doc_rate, "shape": self.shape,
-                "channel_rate": self.channel_rate}
 
 
 SlowVary = Union[SlowVaryOne, SlowVaryLogPower, SlowVaryGammaDoc]
@@ -550,10 +531,6 @@ class DerivedLaw:
             f"{self.QUANTILE_MAX_ITER} bracketed Newton steps "
             f"(log q from {target.min():.6g})")
 
-    def params(self) -> dict:
-        return {"family": self.family, "alpha": self.alpha,
-                "ell": self.ell.params(), "channel": self.channel.params()}
-
 
 Law = Union[Exponential, Weibull, Gamma, DerivedLaw]
 
@@ -592,9 +569,13 @@ class BoundedDoc:
         object.__setattr__(self, "ccdf_at_bound", fbar_b)
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
-        """Truncated survival function, 1 at 0 and 0 at the bound."""
+        """Truncated survival function, 1 at 0 and 0 at the bound; taken as
+        (F(b) - F(x)) / F(b) where F(b) <= 1/2, as Fbar(x) - Fbar(b) cancels."""
         x = np.asarray(x, dtype=float)
-        num = self.base.ccdf(x) - self.ccdf_at_bound
+        if self.cdf_at_bound <= 0.5:
+            num = self.cdf_at_bound - self.base.cdf(x)
+        else:
+            num = self.base.ccdf(x) - self.ccdf_at_bound
         out = np.clip(num / self.cdf_at_bound, 0.0, 1.0)
         return np.where(x >= self.bound, 0.0, out)[()]
 
@@ -609,11 +590,6 @@ class BoundedDoc:
         """
         q = 1.0 - np.asarray(u, dtype=float) * self.cdf_at_bound
         return self.base.quantile_ccdf(np.maximum(q, 5e-324))
-
-    def params(self) -> dict:
-        out = dict(self.base.params())
-        out["bound"] = self.bound
-        return out
 
 
 def sampling_quantile(doc: BoundedDoc) -> Callable[[np.ndarray], np.ndarray]:
@@ -728,38 +704,3 @@ def derive_doc_law(channel: Law, alpha: float, ell: SlowVary,
     law = DerivedLaw(channel, alpha, ell, x_anchor=float(xs[below[0]]))
     return CoupledModel(channel, BoundedDoc(law, bound), alpha, ell)
 
-
-# ---------------------------------------------------------------------------
-# Serialization (experiment config format)
-# ---------------------------------------------------------------------------
-
-
-def law_from_dict(spec: dict) -> Law:
-    """Parametric law from {"family": ..., <named params>}."""
-    try:
-        family = spec["family"]
-    except (KeyError, TypeError):
-        raise InvalidParameter(f"law spec needs a 'family' key: {spec!r}") from None
-    if family == "exponential":
-        return Exponential(rate=float(spec["rate"]))
-    if family == "weibull":
-        return Weibull(index=float(spec["index"]), scale=float(spec["scale"]))
-    if family == "gamma":
-        return Gamma(rate=float(spec["rate"]), shape=float(spec["shape"]))
-    raise InvalidParameter(f"unknown family {family!r}")
-
-
-def ell_from_dict(spec: dict) -> SlowVary:
-    """Slowly varying function from its config block."""
-    kind = spec.get("kind", "one")
-    if kind == "one":
-        return SlowVaryOne()
-    if kind == "log_power":
-        return SlowVaryLogPower(coeff=float(spec["coeff"]),
-                                exponent=float(spec["exponent"]),
-                                x_min=float(spec.get("x_min", math.e)))
-    if kind == "gamma_doc_exact":
-        return SlowVaryGammaDoc(doc_rate=float(spec["doc_rate"]),
-                                shape=float(spec["shape"]),
-                                channel_rate=float(spec["channel_rate"]))
-    raise InvalidParameter(f"unknown ell kind {kind!r}")

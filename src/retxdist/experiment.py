@@ -6,6 +6,11 @@ over its grid, one float array per column of the requested sources, a
 comparison report against the exact quadrature oracle, and a CSV/JSON
 file of that table with a JSON metadata sidecar.
 
+The config format lives here alone. parse_config reads a config dict,
+ExperimentConfig.to_dict writes one that reads back equal, and every key a
+CLI flag sets is in CONFIG_KEYS. Law and ell blocks map through their
+family/kind tag and dataclass fields.
+
 Every CLI verb goes through the same case path: map_cases builds each
 case's model and prefixes any RetxError raised inside the case with
 "case <label>: "; closed_form_columns computes the closed forms over a
@@ -23,6 +28,7 @@ significant digits so a reload is numerically identical.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -38,12 +44,15 @@ from . import asym
 from .dists import (
     CoupledModel,
     CouplingMode,
+    Exponential,
+    Gamma,
     Law,
     SlowVary,
+    SlowVaryGammaDoc,
+    SlowVaryLogPower,
     SlowVaryOne,
+    Weibull,
     derive_doc_law,
-    ell_from_dict,
-    law_from_dict,
     validate_coupling,
 )
 from .errors import (
@@ -126,11 +135,11 @@ class ModelVariant:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
     channel: Law
     doc_base: Optional[Law]               # None: document law derived from channel
     bounds: tuple[float, ...]
     alpha: float
+    name: str = "experiment"
     ell: SlowVary = field(default_factory=SlowVaryOne)
     grid: GridSpec = field(default_factory=GridSpec)
     samples: int = DEFAULT_SAMPLES
@@ -178,34 +187,20 @@ class ExperimentConfig:
         return out
 
     def to_dict(self) -> dict:
+        """The config block that parse_config reads back to an equal config."""
         d = {
-            "name": self.name,
-            "model": {
-                "channel": self.channel.params(),
-                "doc": (self.doc_base.params() if self.doc_base is not None
-                        else {"derived": True}),
-                "bound": list(self.bounds),
-            },
+            "model": {**_write_laws(self.channel, self.doc_base),
+                      "bound": list(self.bounds)},
             "alpha": self.alpha,
-            "ell": self.ell.params(),
-            "grid": {"n_min": self.grid.n_min, "n_max": self.grid.n_max,
-                     "points_per_decade": self.grid.points_per_decade},
-            "samples": self.samples,
-            "seed": self.seed,
-            "workers": self.workers,
-            "confidence": self.confidence,
+            "ell": _write_tagged(self.ell, "kind"),
+            "grid": dataclasses.asdict(self.grid),
             "curves": sorted(s.value for s in self.curves),
-            "format": self.fmt,
-            "skip_coupling_check": self.skip_coupling_check,
         }
-        if self.output_prefix is not None:
-            d["output"] = self.output_prefix
+        d.update((key, getattr(self, name)) for key, name, _ in _OPTIONAL_KEYS
+                 if getattr(self, name) is not None)
         if self.variants:
-            d["variants"] = [
-                {"label": v.label, "channel": v.channel.params(),
-                 "doc": (v.doc_base.params() if v.doc_base is not None
-                         else {"derived": True})}
-                for v in self.variants]
+            d["variants"] = [{"label": v.label, **_write_laws(v.channel, v.doc_base)}
+                             for v in self.variants]
         return d
 
 
@@ -213,24 +208,65 @@ class ExperimentConfig:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"name", "model", "alpha", "ell", "grid", "samples", "seed",
-             "workers", "confidence", "curves", "output", "format",
-             "variants", "skip_coupling_check"}
-# Optional top-level keys as (key, ExperimentConfig field, converter); a
-# key left out takes the field's default.
-_OPTIONAL_KEYS = (("samples", "samples", int), ("seed", "seed", int),
-                  ("workers", "workers", int), ("confidence", "confidence", float),
+# Optional top-level keys as (key, ExperimentConfig field, converter): left
+# out or null, the field's default; to_dict leaves out a None field.
+_OPTIONAL_KEYS = (("name", "name", str), ("samples", "samples", int),
+                  ("seed", "seed", int), ("workers", "workers", int),
+                  ("confidence", "confidence", float), ("output", "output_prefix", str),
                   ("format", "fmt", str),
                   ("skip_coupling_check", "skip_coupling_check", bool))
+_TOP_KEYS = {"model", "alpha", "ell", "grid", "curves", "variants",
+             *(key for key, _, _ in _OPTIONAL_KEYS)}
+# Every key a CLI flag may set: the top-level keys and "grid.<field>".
+CONFIG_KEYS = frozenset(_TOP_KEYS | {f"grid.{f.name}" for f in dataclasses.fields(GridSpec)})
+# Law and ell blocks: the tag names the class, its dataclass fields the rest.
+_TAGGED = {"family": {cls.family: cls for cls in (Exponential, Weibull, Gamma)},
+           "kind": {cls.kind: cls for cls in (SlowVaryOne, SlowVaryLogPower,
+                                              SlowVaryGammaDoc)}}
 
 
-def _infer_alpha(channel: Law, doc: Law) -> float:
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _write_tagged(obj, tag: str) -> dict:
+    return {tag: getattr(obj, tag), **dataclasses.asdict(obj)}
+
+
+def _read_tagged(spec, what: str, tag: str, default: Optional[str] = None):
+    """The law or ell of a block; a field with a default may be left out."""
+    classes = _TAGGED[tag]
+    name = _object(spec, what).get(tag, default)
+    if name not in classes:
+        raise ConfigInvalid(f"{what}: unknown {tag} {name!r}; known: {sorted(classes)}")
+    cls = classes[name]
+    return cls(**{f.name: float(spec[f.name]) for f in dataclasses.fields(cls)
+                  if f.default is dataclasses.MISSING or spec.get(f.name) is not None})
+
+
+def _write_laws(channel: Law, doc_base: Optional[Law]) -> dict:
+    return {"channel": _write_tagged(channel, "family"),
+            "doc": ({"derived": True} if doc_base is None
+                    else _write_tagged(doc_base, "family"))}
+
+
+def _read_laws(block, what: str) -> tuple[Law, Optional[Law]]:
+    """(channel, doc_base) of a model or variant block. A doc block left out
+    or {"derived": true} derives the document law: doc_base None."""
+    doc = _object(_object(block, what).get("doc", {"derived": True}), "doc")
+    return (_read_tagged(block["channel"], "channel", "family"),
+            None if doc.get("derived") else _read_tagged(doc, "doc", "family"))
+
+
+def _infer_alpha(channel: Law, doc: Optional[Law]) -> float:
     """alpha making Fbar = Gbar^alpha hold exactly, when one exists."""
-    if getattr(channel, "family", None) == "exponential" \
-            and getattr(doc, "family", None) == "exponential":
+    if doc is None:
+        raise ConfigInvalid("derived models require an explicit alpha")
+    if isinstance(channel, Exponential) and isinstance(doc, Exponential):
         return doc.rate / channel.rate
-    if getattr(channel, "family", None) == "weibull" \
-            and getattr(doc, "family", None) == "weibull" \
+    if isinstance(channel, Weibull) and isinstance(doc, Weibull) \
             and channel.index == doc.index:
         return (channel.scale / doc.scale) ** channel.index
     raise ConfigInvalid(
@@ -238,71 +274,66 @@ def _infer_alpha(channel: Law, doc: Law) -> float:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from a plain config dict."""
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config root must be an object")
+    """Build a validated ExperimentConfig from a plain config dict.
+
+    Every block (model, variant, law, doc, ell, grid) must be an object; any
+    other malformed value raises ConfigInvalid as well.
+    """
+    _object(raw, "config root")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     try:
         model = raw["model"]
-        channel = law_from_dict(model["channel"])
-        doc_spec = model.get("doc")
-        if doc_spec is None or doc_spec.get("derived"):
-            doc_base = None
-        else:
-            doc_base = law_from_dict(doc_spec)
+        channel, doc_base = _read_laws(model, "model")
         bound = model["bound"]
         bounds = tuple(float(b) for b in (bound if isinstance(bound, (list, tuple))
                                           else [bound]))
-        ell = ell_from_dict(raw.get("ell", {"kind": "one"}))
-        if "alpha" in raw:
-            alpha = float(raw["alpha"])
-        elif doc_base is not None:
-            alpha = _infer_alpha(channel, doc_base)
-        else:
-            raise ConfigInvalid("derived models require an explicit alpha")
-        grid_raw = raw.get("grid", {})
-        grid = GridSpec(
-            n_max=(int(grid_raw["n_max"]) if grid_raw.get("n_max") is not None
-                   else None),
-            **{key: int(grid_raw[key]) for key in ("n_min", "points_per_decade")
-               if key in grid_raw})
+        ell = _read_tagged(raw.get("ell", {}), "ell", "kind", SlowVaryOne.kind)
+        alpha = (float(raw["alpha"]) if raw.get("alpha") is not None
+                 else _infer_alpha(channel, doc_base))
+        grid_raw = _object(raw.get("grid", {}), "grid")
+        grid = GridSpec(**{f.name: int(grid_raw[f.name]) for f in dataclasses.fields(GridSpec)
+                           if grid_raw.get(f.name) is not None})
         curves = raw.get("curves")
-        if curves is None:
-            curve_set = DEFAULT_CURVES
-        else:
-            try:
-                curve_set = frozenset(Source(c) for c in curves)
-            except ValueError as exc:
-                raise ConfigInvalid(f"unknown curve source: {exc}") from None
-        variants = tuple(
-            ModelVariant(
-                label=str(v["label"]),
-                channel=law_from_dict(v["channel"]),
-                doc_base=(None if v.get("doc", {}).get("derived")
-                          else law_from_dict(v["doc"])))
-            for v in raw.get("variants", ()))
+        try:
+            curve_set = DEFAULT_CURVES if curves is None else frozenset(map(Source, curves))
+        except ValueError as exc:
+            raise ConfigInvalid(f"unknown curve source: {exc}") from None
+        variants = tuple(ModelVariant(str(v["label"]), *_read_laws(v, "variant"))
+                         for v in raw.get("variants", ()))
         return ExperimentConfig(
-            name=str(raw.get("name", "experiment")),
             channel=channel, doc_base=doc_base, bounds=bounds, alpha=alpha,
-            ell=ell, grid=grid, curves=curve_set, output_prefix=raw.get("output"),
-            variants=variants,
-            **{field_name: convert(raw[key])
-               for key, field_name, convert in _OPTIONAL_KEYS if key in raw})
+            ell=ell, grid=grid, curves=curve_set, variants=variants,
+            **{name: convert(raw[key]) for key, name, convert in _OPTIONAL_KEYS
+               if raw.get(key) is not None})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc!r}") from exc
 
 
-def load_config(path: Union[str, Path]) -> ExperimentConfig:
+def set_key(raw: dict, key: str, value) -> None:
+    """Write value under a CONFIG_KEYS key of raw; "grid.n_max" is n_max in
+    the grid block, which is copied rather than changed in place."""
+    raw = _object(raw, "config root")
+    block, _, leaf = key.rpartition(".")
+    if block:
+        value = {**_object(raw.get(block, {}), block), leaf: value}
+    raw[block or leaf] = value
+
+
+def read_config(path: Union[str, Path]) -> dict:
+    """The config dict in a JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+
+
+def load_config(path: Union[str, Path]) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +410,17 @@ def preset_names() -> list[str]:
     return sorted(_PRESETS)
 
 
-def preset(name: str) -> ExperimentConfig:
-    """Named experiment configuration; UnknownPreset for anything else."""
+def preset_dict(name: str) -> dict:
+    """A copy of a named preset's config dict; UnknownPreset for anything else."""
     try:
-        raw = _PRESETS[name]
+        return copy.deepcopy(_PRESETS[name])
     except KeyError:
         raise UnknownPreset(
             f"unknown preset {name!r}; available: {preset_names()}") from None
-    return parse_config(dict(raw))
+
+
+def preset(name: str) -> ExperimentConfig:
+    return parse_config(preset_dict(name))
 
 
 # ---------------------------------------------------------------------------

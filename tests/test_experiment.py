@@ -90,6 +90,36 @@ class TestConfigParsing:
         assert cfg == want and cfg.grid == E.GridSpec()
         raw["grid"] = {"n_max": 30}
         assert E.parse_config(raw).grid == E.GridSpec(n_max=30)
+        # null is left out too, in the top level, the grid and a law block
+        raw.update(name=None, alpha=None, seed=None, output=None, samples=None,
+                   grid={"n_min": None, "n_max": 30},
+                   ell={"kind": "log_power", "coeff": 1.0, "exponent": 1.0, "x_min": None})
+        cfg = E.parse_config(raw)
+        assert (cfg.name, cfg.alpha, cfg.seed, cfg.output_prefix, cfg.samples) == \
+            ("experiment", 2.0, want.seed, None, want.samples)
+        assert cfg.grid == E.GridSpec(n_max=30) and cfg.ell.x_min == math.e
+
+    def test_a_left_out_doc_block_is_derived(self):
+        channel = {"family": "exponential", "rate": 1.0}
+        cfg = E.parse_config(minimal_config(
+            model={"channel": channel, "bound": 1.0}, alpha=2.0,
+            variants=[{"label": "v", "channel": channel}]))
+        assert cfg.doc_base is None and cfg.variants[0].doc_base is None
+
+    @pytest.mark.parametrize("name", E.preset_names() + ["derived-exp", "derived-weibull"])
+    def test_to_dict_reads_back_equal(self, perfbench, name):
+        workloads = perfbench("workloads")
+        derived = {c["name"]: c for c in (workloads.DERIVED_EXPONENTIAL,
+                                          workloads.DERIVED_WEIBULL)}
+        cfg = E.parse_config(derived[name]) if name in derived else E.preset(name)
+        assert E.parse_config(cfg.to_dict()) == cfg
+        assert E.parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_to_dict_writes_output_and_format(self):
+        cfg = E.parse_config(minimal_config(output="out/x", format="json"))
+        assert cfg.to_dict()["output"] == "out/x" and cfg.to_dict()["format"] == "json"
+        assert E.parse_config(cfg.to_dict()) == cfg
+        assert "output" not in E.parse_config(minimal_config()).to_dict()
 
     def test_weibull_alpha_inference(self):
         raw = minimal_config()
@@ -115,6 +145,34 @@ class TestConfigParsing:
                               "doc": {"derived": True}, "bound": 1.0}
         with pytest.raises(ConfigInvalid):
             E.parse_config(bad_model)    # derived needs explicit alpha
+
+    @pytest.mark.parametrize("raw", [
+        minimal_config(variants=[{"label": "v", "doc": None,
+                                  "channel": {"family": "exponential", "rate": 1.0}}]),
+        minimal_config(ell=None),
+        minimal_config(model={"channel": {"family": "exponential", "rate": 1.0},
+                              "doc": [1], "bound": 1.0}),
+        minimal_config(grid=None),
+        minimal_config(model={"channel": {"family": "cauchy", "scale": 1.0},
+                              "bound": 1.0}),
+        minimal_config(model={"channel": {"rate": 1.0}, "bound": 1.0}),
+        minimal_config(ell={"kind": "nope"}),
+        minimal_config(ell={"kind": "log_power", "coeff": None, "exponent": 1.0}),
+    ], ids=["variant-doc-null", "ell-null", "doc-list", "grid-null", "unknown-family",
+            "no-family", "unknown-kind", "required-field-null"])
+    def test_malformed_blocks_are_config_errors(self, tmp_path, capsys, raw):
+        with pytest.raises(ConfigInvalid):
+            E.parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_n_max_flag_on_a_malformed_grid(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(grid=None)))
+        assert cli.main(["oracle", "--config", str(path), "--n-max", "5"]) == 2
+        assert capsys.readouterr().err == "config error: grid must be an object, got None\n"
 
     def test_exact_integer_requires_integer_alpha(self):
         raw = minimal_config(curves=["exact_integer"], alpha=0.5)
@@ -263,15 +321,6 @@ class TestRunAndEmit:
             b = ccdf_exact(case.model, n).value
             assert b == pytest.approx(a, rel=1e-10)
 
-    def test_preset_configs_roundtrip(self):
-        for name in E.preset_names():
-            cfg = E.preset(name)
-            clone = E.parse_config(cfg.to_dict())
-            assert clone.alpha == cfg.alpha
-            assert clone.bounds == cfg.bounds
-            assert clone.curves == cfg.curves
-            assert clone.ell.params() == cfg.ell.params()
-            assert [c[0] for c in clone.cases()] == [c[0] for c in cfg.cases()]
 
 
 def _spent(*args, **kwargs):
@@ -508,6 +557,43 @@ class TestCli:
         assert any(f.name == "r_b1.json" for f in files)
         data = E.read_curve_file(tmp_path / "o" / "r_b1.json")
         assert all(v is not None for v in data["oracle"])
+
+    def test_run_flags_are_config_keys(self):
+        args = vars(cli.build_parser().parse_args(["run", "--preset", "example1a"]))
+        flags = set(args) - {"command", "fn", "config", "preset"}
+        assert len(flags) == 9 and flags <= E.CONFIG_KEYS
+        assert all(args[key] is None for key in flags)     # a flag left out sets nothing
+
+    def test_run_flags_write_their_config_keys(self, tmp_path, capsys):
+        out = str(tmp_path / "o" / "r")
+        flags = ["--samples", "3000", "--seed", "9", "--workers", "2",
+                 "--confidence", "0.9", "--output", out, "--format", "json",
+                 "--curves", "mc, oracle,power_law", "--n-max", "30",
+                 "--skip-coupling-check"]
+        keys = {"samples": 3000, "seed": 9, "workers": 2, "confidence": 0.9,
+                "output": out, "format": "json", "curves": ["mc", "oracle", "power_law"],
+                "skip_coupling_check": True}
+        raw = E.preset_dict("example1a")
+        raw.update(keys, grid={"n_max": 30})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        written = []
+        for argv in (["--preset", "example1a", *flags], ["--config", str(path)]):
+            assert cli.main(["run", *argv]) == 0
+            written.append({f.name: f.read_bytes() for f in (tmp_path / "o").iterdir()})
+        assert written[0] == written[1] and len(written[0]) == 6
+        meta = json.loads(written[0]["r_b1.meta.json"])
+        assert meta["config"] == {**E.preset("example1a").to_dict(), **keys,
+                                  "grid": {"n_min": 1, "n_max": 30, "points_per_decade": 24}}
+
+    def test_run_leaves_the_preset_unchanged(self, capsys):
+        assert cli.main(["preset", "example1a"]) == 0
+        before = capsys.readouterr().out
+        assert cli.main(["run", "--preset", "example1a", "--samples", "1000",
+                         "--n-max", "30", "--curves", "oracle"]) == 0
+        capsys.readouterr()
+        assert cli.main(["preset", "example1a"]) == 0
+        assert capsys.readouterr().out == before
 
     def test_skip_coupling_flag(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

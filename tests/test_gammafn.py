@@ -32,6 +32,15 @@ class TestCompleteGamma:
         for a in [0.1, 0.5, 1.0, 7.3, 42.0, 170.0]:
             assert gf.log_gamma(a) == pytest.approx(math.lgamma(a), abs=1e-11)
 
+    @pytest.mark.parametrize("alpha", [10.0 ** -k for k in (1, 4, 8, 12, 15, 16, 17, 30,
+                                                          100, 200, 300)]
+                             + [0.3499, 0.35, 0.3501])
+    def test_small_alpha(self, alpha):
+        # alpha - 1 rounds alpha's digits away below about 1e-8 and is -1
+        # below 1.1e-16; Gamma(alpha + 1) / alpha keeps them
+        assert gf.gamma(alpha) == pytest.approx(math.gamma(alpha), rel=2e-15)
+        assert gf.log_gamma(alpha) == pytest.approx(math.lgamma(alpha), rel=2e-15)
+
     def test_overflow_guard(self):
         with pytest.raises(GammaOverflowError):
             gf.gamma(170.5)

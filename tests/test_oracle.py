@@ -17,7 +17,8 @@ import pytest
 from conftest import model_1a, model_3, model_4, model_log_power
 from retxdist import cli, experiment, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf, log_exact_integer_ccdf
-from retxdist.dists import BoundedDoc, CoupledModel, SlowVaryLogPower, SlowVaryOne
+from retxdist.dists import (BoundedDoc, CoupledModel, Exponential, SlowVaryLogPower,
+                            SlowVaryOne)
 from retxdist.errors import InvalidParameter, QuadratureFailure
 from retxdist.mc import empirical_ccdf, run_tally
 from retxdist.oracle import OracleResult, ccdf_exact, ccdf_exact_curve
@@ -56,6 +57,23 @@ class TestPointValues:
     def test_negative_n_rejected(self, exp_pair_b2):
         with pytest.raises(InvalidParameter):
             ccdf_exact(exp_pair_b2, -1)
+
+    @pytest.mark.parametrize("rate", [1e-16, 1e-15, 1e-12, 1e-8, 1e-4])
+    def test_little_document_mass_below_the_bound(self, rate):
+        # Exp(1) channel, Exp(rate) document bounded at 1: F(b) ~ rate. The
+        # reference scales rate out of the integrand, so mpmath's absolute
+        # tolerance does not swamp the value.
+        mpmath = pytest.importorskip("mpmath")
+        m = CoupledModel.parametric(Exponential(1.0), Exponential(rate), rate,
+                                    SlowVaryOne(), 1.0)
+        with mpmath.workdps(60):
+            lam = mpmath.mpf(rate)
+            for n in (1, 5, 100):
+                ref = mpmath.quad(lambda x: mpmath.exp(-lam * x) * (1 - mpmath.exp(-x)) ** n,
+                                  [0, 0.5, 0.9, 1]) * lam / -mpmath.expm1(-lam)
+                res = ccdf_exact(m, n)
+                assert abs(res.value / float(ref) - 1.0) <= 2e-14, n
+                assert res.subdivisions <= 40, n
 
     def test_log_power_matches_reference(self, perfbench):
         # ell's clamp at x_min kinks H at w = 1/e, inside [g, 1]
