@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from . import gammafn
 from .dists import CoupledModel, SlowVary, SlowVaryOne
 from .errors import EllNotOne, InvalidParameter, NonConvergence, NoRoot, NotInteger
+from .gammafn import exp_or_zero
 
 _INTEGER_TOL = 1e-12
 
@@ -73,11 +74,6 @@ class TransitionReport:
     bracket: tuple[float, float]
 
 
-def _exp(v: float) -> float:
-    """e^v, with 0.0 below the float64 range instead of a subnormal."""
-    return math.exp(v) if v > -745.0 else 0.0
-
-
 def neg_log_one_minus(g: float) -> float:
     """-log(1 - g) without cancellation."""
     return -math.log1p(-g)
@@ -95,7 +91,7 @@ def _log_ell_term(p: ApproxParams, n: int) -> float:
 
 def uniform_approx(p: ApproxParams, n: int) -> float:
     """Uniform power-law-times-Gamma approximation of P[N_b > n]."""
-    return _exp(log_uniform_approx(p, n))
+    return exp_or_zero(log_uniform_approx(p, n))
 
 
 def log_uniform_approx(p: ApproxParams, n: int) -> float:
@@ -113,7 +109,7 @@ def power_law_limit(p: ApproxParams, n: int) -> float:
     This is what the uniform approximation converges to when
     n * Gbar(b) -> 0 (effectively unbounded documents).
     """
-    return _exp(log_power_law_limit(p, n))
+    return exp_or_zero(log_power_law_limit(p, n))
 
 
 def log_power_law_limit(p: ApproxParams, n: int) -> float:
@@ -145,7 +141,7 @@ def exact_integer_ccdf(p: ApproxParams, n: int) -> float:
     alpha! n! Gbar^(alpha-i) (1-Gbar)^(n+i) / ((alpha-i)! (n+i)!),
     divided by P[L <= b]; evaluated in log space so deep tails survive.
     """
-    return _exp(log_exact_integer_ccdf(p, n))
+    return exp_or_zero(log_exact_integer_ccdf(p, n))
 
 
 def log_exact_integer_ccdf(p: ApproxParams, n: int) -> float:
@@ -175,7 +171,7 @@ def exp_tail_asymptote(p: ApproxParams, n: int) -> float:
     asymptotics for fixed b when ell == 1. Use exp_tail_general for
     nontrivial ell.
     """
-    return _exp(log_exp_tail_asymptote(p, n))
+    return exp_or_zero(log_exp_tail_asymptote(p, n))
 
 
 def log_exp_tail_asymptote(p: ApproxParams, n: int) -> float:
@@ -193,7 +189,7 @@ def exp_tail_general(p: ApproxParams, n: int) -> float:
     (alpha / (ell(1/Gbar) n)) Gbar^(alpha-1) (1-Gbar)^n; valid as both n
     and the bound grow with n * Gbar(b) -> infinity.
     """
-    return _exp(log_exp_tail_general(p, n))
+    return exp_or_zero(log_exp_tail_general(p, n))
 
 
 def log_exp_tail_general(p: ApproxParams, n: int) -> float:

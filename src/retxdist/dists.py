@@ -240,8 +240,7 @@ class _GammaQuantileTable:
         """The certified table of a bounded Gamma document, or None (logged
         at DEBUG) where there is none."""
         k, rate = doc.base.shape, doc.base.rate
-        log_gamma_k = float(special.gammaln(k))
-        log_gamma_k1 = float(special.gammaln(k + 1.0))
+        log_gamma_k, log_gamma_k1 = math.lgamma(k), math.lgamma(k + 1.0)
 
         def lower_x(t):
             return special.gammaincinv(k, np.power(t, k)) / rate

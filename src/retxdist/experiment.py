@@ -208,13 +208,26 @@ class ExperimentConfig:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+def _integer(value) -> int:
+    """An int or an integral float as an int; a bool or a fraction is invalid."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # Optional top-level keys as (key, ExperimentConfig field, converter): left
 # out or null, the field's default; to_dict leaves out a None field.
-_OPTIONAL_KEYS = (("name", "name", str), ("samples", "samples", int),
-                  ("seed", "seed", int), ("workers", "workers", int),
+_OPTIONAL_KEYS = (("name", "name", str), ("samples", "samples", _integer),
+                  ("seed", "seed", _integer), ("workers", "workers", _integer),
                   ("confidence", "confidence", float), ("output", "output_prefix", str),
                   ("format", "fmt", str),
-                  ("skip_coupling_check", "skip_coupling_check", bool))
+                  ("skip_coupling_check", "skip_coupling_check", _flag))
 _TOP_KEYS = {"model", "alpha", "ell", "grid", "curves", "variants",
              *(key for key, _, _ in _OPTIONAL_KEYS)}
 # Every key a CLI flag may set: the top-level keys and "grid.<field>".
@@ -293,7 +306,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         alpha = (float(raw["alpha"]) if raw.get("alpha") is not None
                  else _infer_alpha(channel, doc_base))
         grid_raw = _object(raw.get("grid", {}), "grid")
-        grid = GridSpec(**{f.name: int(grid_raw[f.name]) for f in dataclasses.fields(GridSpec)
+        grid = GridSpec(**{f.name: _integer(grid_raw[f.name])
+                           for f in dataclasses.fields(GridSpec)
                            if grid_raw.get(f.name) is not None})
         curves = raw.get("curves")
         try:

@@ -6,11 +6,13 @@ incomplete Gamma integral
     G(x, alpha) = int_x^inf e^(-z) z^(alpha - 1) dz,
 
 so it gets a careful scalar implementation here rather than an opaque
-library call: Lanczos for the complete Gamma, the classical power-series /
-continued-fraction split for the incomplete integral (DLMF 8.11.4 and
-8.9.2), a log-scale variant for deep tails where the linear value
-underflows, and the divergent large-x asymptotic expansion
-(Abramowitz & Stegun 6.5.32) exposed separately.
+library call: one evaluator makes the power-series / continued-fraction
+split (DLMF 8.11.4 and 8.9.2) behind every incomplete function, a
+log-scale variant serves deep tails where the linear value underflows,
+and the divergent large-x asymptotic expansion (Abramowitz & Stegun
+6.5.32) is exposed separately. The complete Gamma and its log are
+math.gamma and math.lgamma behind typed domain checks. exp_or_zero is
+the package's one underflow rule.
 
 All functions are pure and safe for unrestricted concurrent use.
 """
@@ -25,25 +27,6 @@ from .errors import GammaOverflowError, InvalidParameter, NonConvergence
 
 # Largest shape parameter before Gamma(alpha) overflows float64 headroom.
 ALPHA_CAP = 170.0
-
-# Lanczos approximation, g = 7, 9 coefficients (relative error ~1e-14 for
-# real arguments in (0, 170]).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Below this alpha, Gamma(alpha) is Gamma(alpha + 1) / alpha; the two routes
-# agree with mpmath to about 1.5e-15 near it.
-_SMALL_ALPHA = 0.35
 
 _MAX_ITER = 10_000
 _EPS = 2.220446049250313e-16
@@ -66,6 +49,11 @@ class GammaEval:
     est_rel_err: float
 
 
+def exp_or_zero(v: float) -> float:
+    """e^v, or 0.0 for v <= -745, where e^v is at most the smallest subnormal."""
+    return math.exp(v) if v > -745.0 else 0.0
+
+
 def _check_alpha(alpha: float) -> None:
     if not alpha > 0.0:
         raise InvalidParameter(f"alpha must be positive, got {alpha}")
@@ -73,34 +61,21 @@ def _check_alpha(alpha: float) -> None:
         raise GammaOverflowError(f"alpha={alpha} exceeds overflow cap {ALPHA_CAP}")
 
 
-def _lanczos(alpha: float) -> tuple[float, float, float, float]:
-    """(z, t, acc, shift) of the Lanczos kernel at z: Gamma(alpha) is
-    sqrt(2 pi) acc t^(z+0.5) e^(-t) / shift.
-
-    z is alpha - 1 and shift 1, except below _SMALL_ALPHA, where alpha - 1
-    would round alpha's digits away: there the kernel gives Gamma(alpha + 1),
-    with z = alpha exactly, and shift is alpha.
-    """
-    _check_alpha(alpha)
-    z, shift = (alpha, alpha) if alpha < _SMALL_ALPHA else (alpha - 1.0, 1.0)
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    return z, z + _LANCZOS_G + 0.5, acc, shift
-
-
 def gamma(alpha: float) -> float:
-    """Complete Gamma function for 0 < alpha <= 170."""
-    z, t, acc, shift = _lanczos(alpha)
-    # exp of the assembled log keeps t^(z+0.5) from overflowing near the cap
-    return math.sqrt(2.0 * math.pi) * acc * math.exp((z + 0.5) * math.log(t) - t) / shift
+    """Complete Gamma function for 0 < alpha <= 170; GammaOverflowError
+    where it overflows (alpha below about 5.6e-309)."""
+    _check_alpha(alpha)
+    try:
+        return math.gamma(alpha)
+    except OverflowError:
+        raise GammaOverflowError(f"Gamma({alpha}) overflows float64") from None
 
 
 def log_gamma(alpha: float) -> float:
-    """log Gamma(alpha) for 0 < alpha <= 170 (same Lanczos kernel)."""
-    z, t, acc, shift = _lanczos(alpha)
-    return (0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
-            - math.log(shift))
+    """log Gamma(alpha) for 0 < alpha <= 170, finite down to the smallest
+    subnormal alpha."""
+    _check_alpha(alpha)
+    return math.lgamma(alpha)
 
 
 def _lower_series(x: float, alpha: float) -> tuple[float, float]:
@@ -150,26 +125,33 @@ def _upper_cf(x: float, alpha: float) -> tuple[float, float]:
     raise NonConvergence(f"continued fraction failed for x={x}, alpha={alpha}")
 
 
-def upper_incomplete_gamma_eval(x: float, alpha: float) -> GammaEval:
-    """G(x, alpha) with method tag and error estimate.
-
-    Underflow policy: when e^(-x) x^alpha underflows (deep tail), returns
-    value 0.0 with est_rel_err 1.0; use :func:`log_upper_incomplete_gamma`
-    there instead.
-    """
+def _incomplete(x: float, alpha: float) -> tuple[Method, float, float]:
+    """The one evaluation behind every incomplete function, after the alpha
+    and x checks: (SERIES, P(alpha, x), err) below x = alpha + 1, else
+    (CONTINUED_FRACTION, log G(x, alpha), err), with log G = -inf at x = inf."""
     _check_alpha(alpha)
     if x < 0.0:
         raise InvalidParameter(f"x must be nonnegative, got {x}")
-    if math.isinf(x):
-        return GammaEval(0.0, Method.CONTINUED_FRACTION, 1.0)
     if x < alpha + 1.0:
         p, err = _lower_series(x, alpha)
-        return GammaEval(gamma(alpha) * (1.0 - p), Method.SERIES, err)
+        return Method.SERIES, p, err
+    if math.isinf(x):
+        return Method.CONTINUED_FRACTION, -math.inf, 1.0
     h, err = _upper_cf(x, alpha)
-    log_scale = -x + alpha * math.log(x)
-    if log_scale + math.log(h) < -745.0:
-        return GammaEval(0.0, Method.CONTINUED_FRACTION, 1.0)
-    return GammaEval(math.exp(log_scale) * h, Method.CONTINUED_FRACTION, err)
+    return Method.CONTINUED_FRACTION, -x + alpha * math.log(x) + math.log(h), err
+
+
+def upper_incomplete_gamma_eval(x: float, alpha: float) -> GammaEval:
+    """G(x, alpha) with method tag and error estimate.
+
+    Underflow policy: when G underflows (deep tail), returns value 0.0 with
+    est_rel_err 1.0; use :func:`log_upper_incomplete_gamma` there instead.
+    """
+    method, v, err = _incomplete(x, alpha)
+    if method is Method.SERIES:
+        return GammaEval(gamma(alpha) * (1.0 - v), method, err)
+    value = exp_or_zero(v)
+    return GammaEval(value, method, err if value > 0.0 else 1.0)
 
 
 def upper_incomplete_gamma(x: float, alpha: float) -> float:
@@ -179,50 +161,20 @@ def upper_incomplete_gamma(x: float, alpha: float) -> float:
 
 def log_upper_incomplete_gamma(x: float, alpha: float) -> float:
     """log G(x, alpha), exact in the deep tail where the linear value underflows."""
-    _check_alpha(alpha)
-    if x < 0.0:
-        raise InvalidParameter(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return log_gamma(alpha)
-    if math.isinf(x):
-        return -math.inf
-    if x < alpha + 1.0:
-        p, _ = _lower_series(x, alpha)
-        return log_gamma(alpha) + math.log1p(-p)
-    h, _ = _upper_cf(x, alpha)
-    return -x + alpha * math.log(x) + math.log(h)
+    method, v, _ = _incomplete(x, alpha)
+    return log_gamma(alpha) + math.log1p(-v) if method is Method.SERIES else v
 
 
 def regularized_upper_gamma(x: float, alpha: float) -> float:
     """Q(alpha, x) = G(x, alpha) / Gamma(alpha), in [0, 1]."""
-    _check_alpha(alpha)
-    if x < 0.0:
-        raise InvalidParameter(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < alpha + 1.0:
-        p, _ = _lower_series(x, alpha)
-        return 1.0 - p
-    h, _ = _upper_cf(x, alpha)
-    log_q = -x + alpha * math.log(x) + math.log(h) - log_gamma(alpha)
-    if log_q < -745.0:
-        return 0.0
-    return math.exp(log_q)
+    method, v, _ = _incomplete(x, alpha)
+    return 1.0 - v if method is Method.SERIES else exp_or_zero(v - log_gamma(alpha))
 
 
 def regularized_lower_gamma(x: float, alpha: float) -> float:
     """P(alpha, x) = 1 - Q(alpha, x), accurate for small x via the series."""
-    _check_alpha(alpha)
-    if x < 0.0:
-        raise InvalidParameter(f"x must be nonnegative, got {x}")
-    if math.isinf(x):
-        return 1.0
-    if x < alpha + 1.0:
-        p, _ = _lower_series(x, alpha)
-        return p
-    return 1.0 - regularized_upper_gamma(x, alpha)
+    method, v, _ = _incomplete(x, alpha)
+    return v if method is Method.SERIES else 1.0 - exp_or_zero(v - log_gamma(alpha))
 
 
 def log_regularized_upper_gamma(x: float, alpha: float) -> float:
@@ -248,7 +200,4 @@ def incomplete_gamma_asymptotic(x: float, alpha: float, terms: int) -> float:
     for k in range(1, n_terms):
         term *= (alpha - k) / x
         total += term
-    log_scale = (alpha - 1.0) * math.log(x) - x
-    if log_scale < -745.0:
-        return 0.0
-    return math.exp(log_scale) * total
+    return exp_or_zero((alpha - 1.0) * math.log(x) - x) * total

@@ -43,6 +43,7 @@ import numpy as np
 
 from .dists import CoupledModel, SlowVaryLogPower
 from .errors import InvalidParameter, QuadratureFailure
+from .gammafn import exp_or_zero
 from .quadrature import integrate_adaptive, panel_nodes
 
 REL_TOL = 5e-13
@@ -162,7 +163,7 @@ def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
             f"n={n}: nonpositive integral {quad.value} after {quad.panels} panels "
             f"and {quad.evaluations} evaluations")
     log_value = math.log(n) + n * math.log1p(-m.gbar_bound) + math.log(quad.value)
-    value = math.exp(log_value) if log_value > -745.0 else 0.0
+    value = exp_or_zero(log_value)
     est_abs_err = value * (quad.abs_err / quad.value)
     return OracleResult(n, value, est_abs_err, quad.panels, log_value, quad.evaluations)
 

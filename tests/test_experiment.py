@@ -146,6 +146,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid):
             E.parse_config(bad_model)    # derived needs explicit alpha
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("skip_coupling_check", "false", ConfigInvalid),
+        ("skip_coupling_check", 1, ConfigInvalid),
+        ("seed", 3.9, ConfigInvalid),
+        ("seed", math.inf, ConfigInvalid),
+        ("samples", 2500.7, ConfigInvalid),
+        ("workers", True, ConfigInvalid),
+        ("grid.n_max", 30.9, ConfigInvalid),
+        ("grid.points_per_decade", 2.5, ConfigInvalid),
+        ("skip_coupling_check", True, True),
+        ("seed", 3.0, 3),
+        ("samples", 2500, 2500),
+        ("workers", 2.0, 2),
+        ("grid.n_max", 30.0, 30),
+        ("grid.points_per_decade", 2, 2),
+    ])
+    def test_numbers_and_flags_are_strict(self, key, value, want):
+        # an int may come as an integral float; nothing else converts
+        raw = minimal_config()
+        E.set_key(raw, key, value)
+        if want is ConfigInvalid:
+            with pytest.raises(ConfigInvalid):
+                E.parse_config(raw)
+            return
+        cfg = E.parse_config(raw)
+        block, _, leaf = key.rpartition(".")
+        got = getattr(cfg.grid if block else cfg, leaf)
+        assert got == want and type(got) is type(want)
+
     @pytest.mark.parametrize("raw", [
         minimal_config(variants=[{"label": "v", "doc": None,
                                   "channel": {"family": "exponential", "rate": 1.0}}]),

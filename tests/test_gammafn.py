@@ -2,7 +2,8 @@
 
 Expected values marked 'precomputed' were derived before the build by
 adaptive quadrature of the defining integral (independently of this
-implementation) and frozen here.
+implementation) and frozen here. The complete Gamma is checked against
+mpmath at 40 digits.
 """
 
 import math
@@ -17,6 +18,14 @@ from retxdist.errors import GammaOverflowError, InvalidParameter
 G_2_HALF = 0.08064711796031795
 
 
+def _mp_gamma(alpha: float, log: bool = False) -> float:
+    """Gamma(alpha), or its log, from mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return float(mpmath.loggamma(a) if log else mpmath.gamma(a))
+
+
 class TestCompleteGamma:
     def test_classical_values(self):
         assert gf.gamma(1.0) == pytest.approx(1.0, rel=1e-12)
@@ -25,21 +34,30 @@ class TestCompleteGamma:
 
     def test_relative_error_across_domain(self):
         for a in np.linspace(0.05, 169.5, 200):
-            ref = math.gamma(float(a))
-            assert gf.gamma(float(a)) == pytest.approx(ref, rel=1e-12)
+            assert gf.gamma(float(a)) == pytest.approx(_mp_gamma(float(a)), rel=2e-15)
 
     def test_log_gamma_matches(self):
         for a in [0.1, 0.5, 1.0, 7.3, 42.0, 170.0]:
-            assert gf.log_gamma(a) == pytest.approx(math.lgamma(a), abs=1e-11)
+            assert gf.log_gamma(a) == pytest.approx(_mp_gamma(a, log=True), rel=2e-15)
 
     @pytest.mark.parametrize("alpha", [10.0 ** -k for k in (1, 4, 8, 12, 15, 16, 17, 30,
                                                           100, 200, 300)]
                              + [0.3499, 0.35, 0.3501])
     def test_small_alpha(self, alpha):
         # alpha - 1 rounds alpha's digits away below about 1e-8 and is -1
-        # below 1.1e-16; Gamma(alpha + 1) / alpha keeps them
-        assert gf.gamma(alpha) == pytest.approx(math.gamma(alpha), rel=2e-15)
-        assert gf.log_gamma(alpha) == pytest.approx(math.lgamma(alpha), rel=2e-15)
+        # below 1.1e-16; Gamma must keep them
+        assert gf.gamma(alpha) == pytest.approx(_mp_gamma(alpha), rel=2e-15)
+        assert gf.log_gamma(alpha) == pytest.approx(_mp_gamma(alpha, log=True), rel=2e-15)
+
+    def test_tiny_alpha(self):
+        # Gamma(alpha) ~ 1/alpha passes the float64 maximum below about
+        # 5.6e-309; log Gamma stays finite down to the smallest subnormal
+        assert gf.gamma(5.7e-309) == pytest.approx(_mp_gamma(5.7e-309), rel=2e-15)
+        for alpha in (5.5e-309, 1e-310, 5e-324):
+            with pytest.raises(GammaOverflowError):
+                gf.gamma(alpha)
+            assert gf.log_gamma(alpha) == pytest.approx(_mp_gamma(alpha, log=True), rel=2e-15)
+        assert gf.log_gamma(5e-324) == pytest.approx(744.44, abs=0.01)
 
     def test_overflow_guard(self):
         with pytest.raises(GammaOverflowError):
@@ -114,11 +132,29 @@ class TestLogVariant:
         assert gf.log_upper_incomplete_gamma(5000.0, 1.0) == pytest.approx(
             -5000.0, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.5])
+    def test_domain_ends(self, alpha):
+        assert gf.regularized_upper_gamma(0.0, alpha) == 1.0
+        assert gf.regularized_lower_gamma(0.0, alpha) == 0.0
+        assert gf.log_upper_incomplete_gamma(0.0, alpha) == gf.log_gamma(alpha)
+        assert gf.regularized_upper_gamma(math.inf, alpha) == 0.0
+        assert gf.regularized_lower_gamma(math.inf, alpha) == 1.0
+        assert gf.log_upper_incomplete_gamma(math.inf, alpha) == -math.inf
+        ev = gf.upper_incomplete_gamma_eval(math.inf, alpha)
+        assert (ev.value, ev.est_rel_err) == (0.0, 1.0)
+
     def test_regularized_pair(self):
         for x in (0.3, 3.0, 12.0):
             total = gf.regularized_lower_gamma(x, 2.5) \
                 + gf.regularized_upper_gamma(x, 2.5)
             assert total == pytest.approx(1.0, rel=1e-12)
+
+
+def test_exp_or_zero():
+    assert gf.exp_or_zero(0.0) == 1.0
+    assert gf.exp_or_zero(-744.0) == math.exp(-744.0) > 0.0
+    assert gf.exp_or_zero(-745.0) == 0.0
+    assert gf.exp_or_zero(-math.inf) == 0.0
 
 
 class TestAsymptoticExpansion:
