@@ -208,9 +208,17 @@ class ExperimentConfig:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+def _number(value) -> float:
+    """An int or a float as a float; a bool, a string or anything else is
+    invalid."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """An int or an integral float as an int; a bool or a fraction is invalid."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """An int or an integral float as an int; a fraction is invalid too."""
+    if not _number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -221,11 +229,19 @@ def _flag(value) -> bool:
     return value
 
 
+def _convert(key: str, convert, value):
+    """convert(value), or ConfigInvalid naming the key of a rejected value."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{key}: {exc}") from None
+
+
 # Optional top-level keys as (key, ExperimentConfig field, converter): left
 # out or null, the field's default; to_dict leaves out a None field.
 _OPTIONAL_KEYS = (("name", "name", str), ("samples", "samples", _integer),
                   ("seed", "seed", _integer), ("workers", "workers", _integer),
-                  ("confidence", "confidence", float), ("output", "output_prefix", str),
+                  ("confidence", "confidence", _number), ("output", "output_prefix", str),
                   ("format", "fmt", str),
                   ("skip_coupling_check", "skip_coupling_check", _flag))
 _TOP_KEYS = {"model", "alpha", "ell", "grid", "curves", "variants",
@@ -255,7 +271,8 @@ def _read_tagged(spec, what: str, tag: str, default: Optional[str] = None):
     if name not in classes:
         raise ConfigInvalid(f"{what}: unknown {tag} {name!r}; known: {sorted(classes)}")
     cls = classes[name]
-    return cls(**{f.name: float(spec[f.name]) for f in dataclasses.fields(cls)
+    return cls(**{f.name: _convert(f"{what}.{f.name}", _number, spec[f.name])
+                  for f in dataclasses.fields(cls)
                   if f.default is dataclasses.MISSING or spec.get(f.name) is not None})
 
 
@@ -268,9 +285,9 @@ def _write_laws(channel: Law, doc_base: Optional[Law]) -> dict:
 def _read_laws(block, what: str) -> tuple[Law, Optional[Law]]:
     """(channel, doc_base) of a model or variant block. A doc block left out
     or {"derived": true} derives the document law: doc_base None."""
-    doc = _object(_object(block, what).get("doc", {"derived": True}), "doc")
-    return (_read_tagged(block["channel"], "channel", "family"),
-            None if doc.get("derived") else _read_tagged(doc, "doc", "family"))
+    doc = _object(_object(block, what).get("doc", {"derived": True}), f"{what}.doc")
+    return (_read_tagged(block["channel"], f"{what}.channel", "family"),
+            None if doc.get("derived") else _read_tagged(doc, f"{what}.doc", "family"))
 
 
 def _infer_alpha(channel: Law, doc: Optional[Law]) -> float:
@@ -300,13 +317,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         model = raw["model"]
         channel, doc_base = _read_laws(model, "model")
         bound = model["bound"]
-        bounds = tuple(float(b) for b in (bound if isinstance(bound, (list, tuple))
-                                          else [bound]))
+        bounds = tuple(_convert("model.bound", _number, b)
+                       for b in (bound if isinstance(bound, (list, tuple)) else [bound]))
         ell = _read_tagged(raw.get("ell", {}), "ell", "kind", SlowVaryOne.kind)
-        alpha = (float(raw["alpha"]) if raw.get("alpha") is not None
+        alpha = (_convert("alpha", _number, raw["alpha"]) if raw.get("alpha") is not None
                  else _infer_alpha(channel, doc_base))
         grid_raw = _object(raw.get("grid", {}), "grid")
-        grid = GridSpec(**{f.name: _integer(grid_raw[f.name])
+        grid = GridSpec(**{f.name: _convert(f"grid.{f.name}", _integer, grid_raw[f.name])
                            for f in dataclasses.fields(GridSpec)
                            if grid_raw.get(f.name) is not None})
         curves = raw.get("curves")
@@ -314,13 +331,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             curve_set = DEFAULT_CURVES if curves is None else frozenset(map(Source, curves))
         except ValueError as exc:
             raise ConfigInvalid(f"unknown curve source: {exc}") from None
-        variants = tuple(ModelVariant(str(v["label"]), *_read_laws(v, "variant"))
-                         for v in raw.get("variants", ()))
+        variants = tuple(ModelVariant(str(v["label"]), *_read_laws(v, f"variants[{i}]"))
+                         for i, v in enumerate(raw.get("variants", ())))
         return ExperimentConfig(
             channel=channel, doc_base=doc_base, bounds=bounds, alpha=alpha,
             ell=ell, grid=grid, curves=curve_set, variants=variants,
-            **{name: convert(raw[key]) for key, name, convert in _OPTIONAL_KEYS
-               if raw.get(key) is not None})
+            **{name: _convert(key, convert, raw[key])
+               for key, name, convert in _OPTIONAL_KEYS if raw.get(key) is not None})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc!r}") from exc
 

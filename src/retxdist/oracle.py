@@ -19,23 +19,22 @@ smaller scale up to 1, so every scale is sampled before adaptive
 refinement starts. A log_power ell is clamped at x_min, which kinks H at
 w = 1/x_min; that point is one more edge.
 
-H does not depend on n, and seed panels of different n are the same
-lattice panels apart from the ones at 0 and at the kink. Each model has
-one seed table, found by value in a module-level weak dictionary: it
-holds every seed by depth and H at the Kronrod nodes of each seed panel
-it has met, so H is evaluated once per panel for as long as the model
-lives, and each call's seed pass costs one weight evaluation. Every call
-goes through the table, so a value does not depend on which calls came
-before it.
+H does not depend on n, and the lattice does not move with n, so a seed
+depends only on the model and its lattice depth. Seeds, with H at the
+Kronrod nodes of their panels, are memoized by (model, depth) in one
+least-recently-used memo of _SEED_MEMO entries; models compare by value,
+so equal models share entries. Repeated calls then pay one weight
+evaluation for the seed pass. Every call goes through the memo, so a
+value does not depend on which calls came before it.
 
-Evaluations are pure, and concurrent calls are safe: a race on a table
-only repeats work, and both sides store the same values.
+Evaluations are pure, and concurrent calls are safe: a race on the memo
+only repeats work, and both sides compute the same values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,6 +57,11 @@ MAX_PANELS = 20_000
 _EDGES_PER_DECADE = 6
 _LATTICE = np.array([10.0 ** (-j / _EDGES_PER_DECADE)
                      for j in range(323 * _EDGES_PER_DECADE + 1)])
+# Seeds kept, by (model, depth), least recently used first out. exact-query's
+# n in [2, 1e4] reach 165 (case, depth) pairs (tests/test_tooling.py checks
+# that they fit) and a run's candidate grids at most 111. The deepest seed,
+# g = 1e-323, is 248 KB, so a full memo holds at most about 64 MB.
+_SEED_MEMO = 256
 
 
 @dataclass(frozen=True)
@@ -83,59 +87,34 @@ def _survival(m: CoupledModel, y: np.ndarray) -> np.ndarray:
     return m.doc.ccdf(m.channel.quantile_ccdf(g + (1.0 - g) * y))
 
 
-class _SeedTable:
-    """One model's seeds by lattice depth, and H at the Kronrod nodes of
-    each seed panel it has met, by the panel's (lo, hi).
-
-    It holds no reference to the model, so it dies with the model's last
-    reference. Its arrays are shared by every call and are read-only.
-    """
-
-    def __init__(self, m: CoupledModel) -> None:
-        g = m.gbar_bound
-        # a bound below the kink puts it at w <= g, outside the interval
-        self.kink = ((1.0 / m.ell.x_min - g) / (1.0 - g)
-                     if isinstance(m.ell, SlowVaryLogPower) else 0.0)
-        self.rows: dict[tuple[float, float], np.ndarray] = {}
-        self.seeds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-# The seed table of each live model. Keys compare by value, so equal models
-# share one table, and an entry goes when its model is collected.
-_TABLES: weakref.WeakKeyDictionary[CoupledModel, _SeedTable] = weakref.WeakKeyDictionary()
-
-
-def _seed(m: CoupledModel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges in y for n, and H at panel_nodes of their panels,
-    raveled, from m's table.
-
-    The edges are 0, then the lattice points from depth ceil(-6 log10(y0))
-    up to 1, with y0 a quarter of min(1/n, g) (of 1/n when g = 0), plus
-    the kink of a log_power ell where it lies in (0, 1).
-    """
-    table = _TABLES.get(m)
-    if table is None:
-        table = _TABLES.setdefault(m, _SeedTable(m))
+def _depth(m: CoupledModel, n: int) -> int:
+    """Lattice depth of n's seed: ceil(-6 log10(y0)), with y0 a quarter of
+    min(1/n, g) (of 1/n when g = 0), at most the lattice's last point."""
     g = m.gbar_bound
     y0 = 0.25 * (min(1.0 / n, g) if g > 0.0 else 1.0 / n)
-    depth = min(math.ceil(-_EDGES_PER_DECADE * math.log10(max(y0, _LATTICE[-1]))),
-                len(_LATTICE) - 1)
-    seed = table.seeds.get(depth)
-    if seed is None:
-        edges = np.concatenate(([0.0], _LATTICE[depth::-1]))
-        if table.kink > 0.0 and table.kink not in edges:
-            edges = np.insert(edges, np.searchsorted(edges, table.kink), table.kink)
-        lo, hi = edges[:-1], edges[1:]
-        keys = list(zip(lo.tolist(), hi.tolist()))
-        new = [i for i, key in enumerate(keys) if key not in table.rows]
-        if new:
-            _, ys = panel_nodes(lo[new], hi[new])
-            rows = _survival(m, ys.ravel()).reshape(ys.shape)
-            table.rows.update(zip([keys[i] for i in new], rows))
-        h = np.concatenate([table.rows[key] for key in keys])
-        edges.flags.writeable = h.flags.writeable = False
-        seed = table.seeds[depth] = (edges, h)
-    return seed
+    return min(math.ceil(-_EDGES_PER_DECADE * math.log10(max(y0, _LATTICE[-1]))),
+               len(_LATTICE) - 1)
+
+
+@functools.lru_cache(maxsize=_SEED_MEMO)
+def _seed(m: CoupledModel, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges in y from a lattice depth, and H at panel_nodes of their
+    panels, raveled; both arrays are read-only, shared by every call.
+
+    The edges are 0, then the lattice points from depth up to 1, plus the
+    kink of a log_power ell where it lies in (0, 1).
+    """
+    edges = np.concatenate(([0.0], _LATTICE[depth::-1]))
+    if isinstance(m.ell, SlowVaryLogPower):
+        g = m.gbar_bound
+        # a bound below the kink puts it at w <= g, outside the interval
+        kink = (1.0 / m.ell.x_min - g) / (1.0 - g)
+        if kink > 0.0 and kink not in edges:
+            edges = np.insert(edges, np.searchsorted(edges, kink), kink)
+    _, ys = panel_nodes(edges[:-1], edges[1:])
+    h = _survival(m, ys.ravel())
+    edges.flags.writeable = h.flags.writeable = False
+    return edges, h
 
 
 def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
@@ -146,7 +125,7 @@ def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
     if n == 0:
         return OracleResult(0, 1.0, 0.0, 0, 0.0)
 
-    edges, seed_h = _seed(m, n)
+    edges, seed_h = _seed(m, _depth(m, n))
     # integrate_adaptive's first pass is over the seed nodes, in this order
     pending = [seed_h]
 

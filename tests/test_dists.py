@@ -459,6 +459,15 @@ class TestDerivedQuantile:
         with np.errstate(all="raise"):
             assert law.quantile_ccdf(1.0) == 0.0
             assert np.all(law.quantile_ccdf(np.array([1.0, 0.5]))[:1] == 0.0)
+        # ell(1) = 1 - 1e-12 puts h(0) 1e-12 above 0, out of the residual
+        # tolerance: only the log q < 0 guard keeps log q = 0 out of Newton,
+        # whose root there is s = -1e-12 / alpha (quantile_ccdf masks q = 1
+        # anyway, so the solver is asked directly)
+        law = derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0 - 1e-12, 1.0),
+                             16.0).doc.base
+        s = law._solve_log_survival(np.array([0.0, -0.5]))
+        assert s[0] == 0.0
+        assert s[1] == pytest.approx(-0.5 / 1.5, rel=1e-14)
 
     def test_iteration_cap_raises(self, monkeypatch):
         law = derive_doc_law(Exponential(2.0), 1.0,

@@ -151,28 +151,49 @@ class TestConfigParsing:
         ("skip_coupling_check", 1, ConfigInvalid),
         ("seed", 3.9, ConfigInvalid),
         ("seed", math.inf, ConfigInvalid),
+        ("seed", "3", ConfigInvalid),
+        ("seed", 10**400, ConfigInvalid),
         ("samples", 2500.7, ConfigInvalid),
         ("workers", True, ConfigInvalid),
         ("grid.n_max", 30.9, ConfigInvalid),
         ("grid.points_per_decade", 2.5, ConfigInvalid),
+        ("alpha", True, ConfigInvalid),
+        ("alpha", "2", ConfigInvalid),
+        ("confidence", "0.9", ConfigInvalid),
+        ("model.bound", "1.5", ConfigInvalid),
+        ("model.bound", [1.0, False], ConfigInvalid),
+        ("model.channel.rate", True, ConfigInvalid),
+        ("model.doc.rate", "2", ConfigInvalid),
+        ("ell.exponent", None, ConfigInvalid),
+        ("ell.x_min", "3", ConfigInvalid),
         ("skip_coupling_check", True, True),
         ("seed", 3.0, 3),
         ("samples", 2500, 2500),
         ("workers", 2.0, 2),
         ("grid.n_max", 30.0, 30),
         ("grid.points_per_decade", 2, 2),
+        ("alpha", 2, 2.0),
+        ("confidence", 0.9, 0.9),
     ])
-    def test_numbers_and_flags_are_strict(self, key, value, want):
-        # an int may come as an integral float; nothing else converts
-        raw = minimal_config()
-        E.set_key(raw, key, value)
+    def test_numbers_and_flags_are_strict(self, tmp_path, capsys, key, value, want):
+        # an int may come as an integral float, a float as an int; nothing
+        # else converts, and a rejected value is named by its key
+        raw = minimal_config(ell={"kind": "log_power", "coeff": 1.0, "exponent": 1.0})
+        *blocks, leaf = key.split(".")
+        block = raw
+        for name in blocks:
+            block = block[name]
+        block[leaf] = value
         if want is ConfigInvalid:
-            with pytest.raises(ConfigInvalid):
+            with pytest.raises(ConfigInvalid, match=f"^{key}: "):
                 E.parse_config(raw)
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(raw))
+            assert cli.main(["validate", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {key}: ")
             return
         cfg = E.parse_config(raw)
-        block, _, leaf = key.rpartition(".")
-        got = getattr(cfg.grid if block else cfg, leaf)
+        got = getattr(cfg.grid if blocks else cfg, leaf)
         assert got == want and type(got) is type(want)
 
     @pytest.mark.parametrize("raw", [

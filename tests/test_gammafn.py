@@ -119,6 +119,33 @@ class TestUpperIncomplete:
             gf.upper_incomplete_gamma(1.0, 200.0)
 
 
+class TestSmallAlpha:
+    """Below alpha = 0.25 and x = alpha + 1, G is summed directly, where
+    Gamma(alpha) (1 - P) cancels (to nothing as alpha -> 0)."""
+
+    @pytest.mark.parametrize("alpha", [1e-310, 1e-300, 1e-20, 1e-10, 1e-5, 1e-3, 0.2499])
+    def test_matches_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        for x in (5e-324, 1e-300, 1e-20, 1e-5, 0.01, 0.5, 0.999 * (alpha + 1.0)):
+            with mpmath.workdps(40):
+                a, z = mpmath.mpf(alpha), mpmath.mpf(x)
+                g = mpmath.gammainc(a, z)
+                want = [float(g), float(mpmath.log(g)),
+                        float(mpmath.gammainc(a, 0, z, regularized=True)),
+                        float(g / mpmath.gamma(a))]
+            got = [gf.upper_incomplete_gamma(x, alpha), gf.log_upper_incomplete_gamma(x, alpha),
+                   gf.regularized_lower_gamma(x, alpha), gf.regularized_upper_gamma(x, alpha)]
+            if alpha < 1e-300:
+                got, want = got[:3], want[:3]    # Q is subnormal
+            assert got == pytest.approx(want, rel=1e-13), x
+            assert gf.upper_incomplete_gamma_eval(x, alpha).method is gf.Method.SERIES
+
+    def test_continuous_at_the_branch_point(self):
+        for x in (1e-3, 0.5, 1.2):
+            below = gf.log_upper_incomplete_gamma(x, math.nextafter(0.25, 0.0))
+            assert below == pytest.approx(gf.log_upper_incomplete_gamma(x, 0.25), rel=1e-14)
+
+
 class TestLogVariant:
     def test_matches_linear_in_range(self):
         for alpha in (0.5, 1.0, 2.0, 4.0):

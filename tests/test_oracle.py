@@ -5,10 +5,8 @@ uniform-transform identity (unbounded unit-index models), the
 integer-index finite sum, mpmath references and Monte Carlo.
 """
 
-import gc
 import math
 import re
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -160,13 +158,10 @@ class TestDeepTail:
 class TestSweep:
     @pytest.mark.parametrize("name", experiment.preset_names()
                              + ["derived-exp", "derived-weibull"])
-    def test_auto_grid(self, perfbench, monkeypatch, name):
+    def test_auto_grid(self, perfbench, name):
         # every case over its whole auto candidate grid, deep tails included
-        def fresh_tables():
-            monkeypatch.setattr(oracle, "_TABLES", weakref.WeakKeyDictionary())
-
         def cold(m, n):
-            fresh_tables()
+            oracle._seed.cache_clear()
             return ccdf_exact(m, n)
 
         workloads = perfbench("workloads")
@@ -178,11 +173,11 @@ class TestSweep:
             m = experiment.build_model(channel, doc, cfg.alpha, cfg.ell, bound)
             grid = experiment.candidate_grid(cfg, m)
             lone = [cold(m, n) for n in grid]
-            # a table warmed by other calls, in either order, gives the
+            # a memo warmed by other calls, in either order, gives the
             # bits of a cold one
-            fresh_tables()
+            oracle._seed.cache_clear()
             assert ccdf_exact_curve(m, grid) == lone, label
-            fresh_tables()
+            oracle._seed.cache_clear()
             assert [ccdf_exact(m, n) for n in reversed(grid)] == lone[::-1], label
             logs = [r.log_value for r in lone]
             assert all(math.isfinite(v) for v in logs), label
@@ -210,7 +205,7 @@ class TestSeed:
                   ("log_power b16", model_log_power(16.0))]
         for label, m in models:
             g = m.gbar_bound
-            edges, h = oracle._seed(m, n)
+            edges, h = oracle._seed(m, oracle._depth(m, n))
             assert h.size == 15 * (edges.size - 1), label
             assert edges[0] == 0.0 and edges[-1] == 1.0, label
             assert np.all(np.diff(edges) > 0.0), label
@@ -225,10 +220,10 @@ class TestSeed:
             y0 = 0.25 * min(1.0 / n, g)
             assert 10.0 ** (-1 / 6) * y0 < lattice[0] <= y0, label
 
-    def test_model_evaluates_each_seed_panel_once(self):
+    def test_model_evaluates_each_seed_once(self):
         # the channel quantile runs once per H evaluation; over a curve and
-        # later lone calls, each seed panel's nodes reach it once (refinement
-        # nodes are other points)
+        # later lone calls, the nodes of each (model, depth) seed reach it
+        # once (refinement nodes are other points)
         class Counting:
             def __init__(self, law):
                 self.law = law
@@ -241,6 +236,7 @@ class TestSeed:
             def __getattr__(self, name):
                 return getattr(self.law, name)
 
+        oracle._seed.cache_clear()
         base = model_log_power(16.0)
         channel = Counting(base.channel)
         m = CoupledModel(channel, base.doc, base.alpha, base.ell)
@@ -250,14 +246,15 @@ class TestSeed:
         ccdf_exact_curve(m, grid)
         for n in reversed(grid):
             ccdf_exact(m, n)
-        panels = set()
-        for n in grid:
-            edges, _ = oracle._seed(m, n)
-            panels.update(zip(edges[:-1].tolist(), edges[1:].tolist()))
-        lo, hi = (np.array(side) for side in zip(*sorted(panels)))
-        _, ys = panel_nodes(lo, hi)
+        depths = sorted({oracle._depth(m, n) for n in grid})
+        assert len(depths) > 1
+        want = Counter()
+        for depth in depths:
+            edges, _ = oracle._seed(m, depth)
+            _, ys = panel_nodes(edges[:-1], edges[1:])
+            want.update((g + (1.0 - g) * ys.ravel()).tolist())
         seen = Counter(channel.seen)
-        assert [seen[w] for w in (g + (1.0 - g) * ys.ravel()).tolist()] == [1] * ys.size
+        assert all(seen[w] == k for w, k in want.items())
 
     @pytest.mark.parametrize("bound", [744.0, 745.0])
     def test_subnormal_channel_survival(self, bound):
@@ -270,38 +267,30 @@ class TestSeed:
             want = math.log(2.0 / ((n + 1) * (n + 2)))
             assert ccdf_exact(m, n).log_value == pytest.approx(want, rel=1e-13)
 
-    def test_table_dies_with_its_model(self, monkeypatch):
-        tables = weakref.WeakKeyDictionary()
-        monkeypatch.setattr(oracle, "_TABLES", tables)
-        m = model_log_power(16.0)
-        ccdf_exact(m, 5)
-        table = weakref.ref(tables[m])
-        del m
-        gc.collect()
-        assert len(tables) == 0 and table() is None
-
-    def test_equal_models_share_one_table(self, monkeypatch):
-        tables = weakref.WeakKeyDictionary()
-        monkeypatch.setattr(oracle, "_TABLES", tables)
+    def test_equal_models_share_one_memo_entry(self):
+        oracle._seed.cache_clear()
         a, b = model_log_power(16.0), model_log_power(16.0)
         assert a is not b and a == b
         first = ccdf_exact(a, 100)
         assert ccdf_exact(b, 100) == first
-        assert len(tables) == 1 and tables[a] is tables[b]
+        info = oracle._seed.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+        depth = oracle._depth(a, 100)
+        assert oracle._seed(a, depth) is oracle._seed(b, depth)
 
     @pytest.mark.parametrize("name", experiment.preset_names())
-    def test_cli_rows_equal_cold_lone_calls(self, monkeypatch, capsys, name):
-        # repeated and unsorted counts: the second n = 1000 finds the table
+    def test_cli_rows_equal_cold_lone_calls(self, capsys, name):
+        # repeated and unsorted counts: the second n = 1000 finds the memo
         # warmed by the first and by n = 5
         counts = [1000, 5, 1000]
-        monkeypatch.setattr(oracle, "_TABLES", weakref.WeakKeyDictionary())
+        oracle._seed.cache_clear()
         argv = ["oracle", "--preset", name] + [a for n in counts for a in ("--n", str(n))]
         assert cli.main(argv) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         want = []
         for label, m in _preset_models(name):
             for n in counts:
-                monkeypatch.setattr(oracle, "_TABLES", weakref.WeakKeyDictionary())
+                oracle._seed.cache_clear()
                 r = ccdf_exact(m, n)
                 want.append(",".join([label.split("/")[1], str(r.n)]
                                      + [cli._fmt(v) for v in (r.value, r.log_value,

@@ -1,13 +1,14 @@
 """The benchmark's tracer (perfbench/spans.py) patches this package by name.
 
 Installing and uninstalling it here makes a rename or deletion of a
-traced name fail the test suite, not a traced benchmark run.
+traced name fail the test suite, not a traced benchmark run. The oracle's
+seed memo is checked against the benchmark's query traffic the same way.
 """
 
 import pytest
 
 from conftest import model_1a
-from retxdist import cli, oracle
+from retxdist import cli, experiment, oracle
 
 
 def test_tracer_patches_and_restores_every_name(perfbench):
@@ -54,3 +55,17 @@ def test_closed_forms_resolve_through_asym(perfbench, capsys, argv):
     finally:
         tracer.uninstall()
     assert "asym.uniform_approx" in [tracer.names[i] for i in tracer.name]
+
+
+def test_seed_memo_holds_every_exact_query_seed(perfbench):
+    # exact-query cycles through the same (case, n) queries every round; a
+    # memo smaller than the seeds they reach would miss on every one of them
+    workloads = perfbench("workloads")
+    seeds = set()
+    for name in workloads.QUERY_PRESETS:
+        cfg = experiment.preset(name)
+        for label, channel, doc, bound in cfg.cases():
+            m = experiment.build_model(channel, doc, cfg.alpha, cfg.ell, bound)
+            seeds.update((name, label, oracle._depth(m, n))
+                         for n in range(workloads.QUERY_N_MIN, workloads.QUERY_N_MAX + 1))
+    assert len(seeds) <= oracle._seed.cache_parameters()["maxsize"]
