@@ -223,6 +223,12 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
@@ -239,10 +245,10 @@ def _convert(key: str, convert, value):
 
 # Optional top-level keys as (key, ExperimentConfig field, converter): left
 # out or null, the field's default; to_dict leaves out a None field.
-_OPTIONAL_KEYS = (("name", "name", str), ("samples", "samples", _integer),
+_OPTIONAL_KEYS = (("name", "name", _string), ("samples", "samples", _integer),
                   ("seed", "seed", _integer), ("workers", "workers", _integer),
-                  ("confidence", "confidence", _number), ("output", "output_prefix", str),
-                  ("format", "fmt", str),
+                  ("confidence", "confidence", _number), ("output", "output_prefix", _string),
+                  ("format", "fmt", _string),
                   ("skip_coupling_check", "skip_coupling_check", _flag))
 _TOP_KEYS = {"model", "alpha", "ell", "grid", "curves", "variants",
              *(key for key, _, _ in _OPTIONAL_KEYS)}
@@ -260,17 +266,29 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _known(block: dict, what: str, known: Iterable[str]) -> dict:
+    """block, or ConfigInvalid naming a key of it that is not in known."""
+    known = sorted(known)
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigInvalid(f"{what}.{unknown[0]}: unknown field; known: {known}")
+    return block
+
+
 def _write_tagged(obj, tag: str) -> dict:
     return {tag: getattr(obj, tag), **dataclasses.asdict(obj)}
 
 
-def _read_tagged(spec, what: str, tag: str, default: Optional[str] = None):
-    """The law or ell of a block; a field with a default may be left out."""
+def _read_tagged(spec, what: str, tag: str, default: Optional[str] = None,
+                 extra: tuple[str, ...] = ()):
+    """The law or ell of a block; a field with a default may be left out.
+    The block may hold the tag, the class's fields and the extra keys."""
     classes = _TAGGED[tag]
     name = _object(spec, what).get(tag, default)
     if name not in classes:
         raise ConfigInvalid(f"{what}: unknown {tag} {name!r}; known: {sorted(classes)}")
     cls = classes[name]
+    _known(spec, what, {tag, *extra, *(f.name for f in dataclasses.fields(cls))})
     return cls(**{f.name: _convert(f"{what}.{f.name}", _number, spec[f.name])
                   for f in dataclasses.fields(cls)
                   if f.default is dataclasses.MISSING or spec.get(f.name) is not None})
@@ -282,12 +300,22 @@ def _write_laws(channel: Law, doc_base: Optional[Law]) -> dict:
                     else _write_tagged(doc_base, "family"))}
 
 
-def _read_laws(block, what: str) -> tuple[Law, Optional[Law]]:
-    """(channel, doc_base) of a model or variant block. A doc block left out
-    or {"derived": true} derives the document law: doc_base None."""
-    doc = _object(_object(block, what).get("doc", {"derived": True}), f"{what}.doc")
-    return (_read_tagged(block["channel"], f"{what}.channel", "family"),
-            None if doc.get("derived") else _read_tagged(doc, f"{what}.doc", "family"))
+def _read_laws(block, what: str, extra: str) -> tuple[Law, Optional[Law]]:
+    """(channel, doc_base) of a model or variant block, whose only other key
+    is extra. A doc block left out or {"derived": true} derives the document
+    law: doc_base None."""
+    _known(_object(block, what), what, ("channel", "doc", extra))
+    channel = _read_tagged(block["channel"], f"{what}.channel", "family")
+    doc = _object(block.get("doc", {"derived": True}), f"{what}.doc")
+    if doc.get("derived"):
+        _known(doc, f"{what}.doc", ("derived",))
+        return channel, None
+    return channel, _read_tagged(doc, f"{what}.doc", "family", extra=("derived",))
+
+
+def _read_variant(block, what: str) -> ModelVariant:
+    laws = _read_laws(block, what, "label")
+    return ModelVariant(_convert(f"{what}.label", _string, block["label"]), *laws)
 
 
 def _infer_alpha(channel: Law, doc: Optional[Law]) -> float:
@@ -315,23 +343,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     try:
         model = raw["model"]
-        channel, doc_base = _read_laws(model, "model")
+        channel, doc_base = _read_laws(model, "model", "bound")
         bound = model["bound"]
         bounds = tuple(_convert("model.bound", _number, b)
                        for b in (bound if isinstance(bound, (list, tuple)) else [bound]))
         ell = _read_tagged(raw.get("ell", {}), "ell", "kind", SlowVaryOne.kind)
         alpha = (_convert("alpha", _number, raw["alpha"]) if raw.get("alpha") is not None
                  else _infer_alpha(channel, doc_base))
-        grid_raw = _object(raw.get("grid", {}), "grid")
-        grid = GridSpec(**{f.name: _convert(f"grid.{f.name}", _integer, grid_raw[f.name])
-                           for f in dataclasses.fields(GridSpec)
-                           if grid_raw.get(f.name) is not None})
+        grid_fields = [f.name for f in dataclasses.fields(GridSpec)]
+        grid_raw = _known(_object(raw.get("grid", {}), "grid"), "grid", grid_fields)
+        grid = GridSpec(**{name: _convert(f"grid.{name}", _integer, grid_raw[name])
+                           for name in grid_fields if grid_raw.get(name) is not None})
         curves = raw.get("curves")
         try:
             curve_set = DEFAULT_CURVES if curves is None else frozenset(map(Source, curves))
         except ValueError as exc:
             raise ConfigInvalid(f"unknown curve source: {exc}") from None
-        variants = tuple(ModelVariant(str(v["label"]), *_read_laws(v, f"variants[{i}]"))
+        variants = tuple(_read_variant(v, f"variants[{i}]")
                          for i, v in enumerate(raw.get("variants", ())))
         return ExperimentConfig(
             channel=channel, doc_base=doc_base, bounds=bounds, alpha=alpha,

@@ -9,17 +9,18 @@ O(E[N]) per-sample cost of the literal retry loop, which matters in the
 power-law regime where E[N] can be enormous. The literal loop is kept as
 sample_N_naive purely so the two can be tested against each other.
 
-A run draws one Philox stream, keyed by the seed alone, in blocks of
+A run draws one PCG64DXSM stream, seeded by the seed alone, in blocks of
 _BLOCK samples: all of a block's document uniforms, then all of its
 geometric uniforms. A block is self-contained, so the first k whole
 blocks of a stream are the same whatever its length, and the working set
-is a few block-sized temporaries that stay in cache. Every whole block
-takes the same number of Philox counter steps, so a process can start
-at any block by advancing the counter; run_tally splits a run into spans
-of whole blocks that way, and its output depends on the seed alone, not
-on how many processes drew it. A tally bins a block's counts through a
-table of grid positions built once per span, which equals searchsorted
-binning bit for bit, and adds one bincount per block.
+is a few block-sized temporaries that stay in cache. Every double takes
+one 64-bit output of the generator, so a whole block takes 2^15 outputs
+and block k starts at advance(k * 2^15). run_tally splits a run into
+spans of whole blocks, each process advancing to its first block, so its
+output depends on the seed alone, not on how many processes drew it. A
+tally bins a block's counts through a table of grid positions built once
+per span, which equals searchsorted binning bit for bit, and adds one
+bincount per block.
 
 A run ends in a Tally of exceedance counts over a grid; empirical_ccdf
 turns it into the three Monte Carlo columns of a case table.
@@ -41,9 +42,9 @@ from .errors import InvalidParameter
 
 # Samples per draw block: a block's temporaries stay in cache.
 _BLOCK = 1 << 14
-# Philox counter steps per block: a block draws 2 * _BLOCK doubles, one
-# 64-bit output each, and a counter step yields four outputs.
-_BLOCK_STEPS = 2 * _BLOCK // 4
+# Generator outputs per block: a block draws 2 * _BLOCK = 2^15 doubles, one
+# 64-bit output each, and PCG64DXSM.advance(k) skips k outputs.
+_BLOCK_STEPS = 2 * _BLOCK
 _N_CAP = 1 << 62
 # A tally's binning table covers counts up to the grid's end, at most this.
 _TABLE_MAX = 1 << 16
@@ -51,7 +52,11 @@ _SURE_SUCCESS = 1.0 - 1e-15
 
 
 class RandomStream:
-    """Single-owner random stream: Philox keyed by the seed."""
+    """Single-owner random stream: PCG64DXSM seeded by the seed mod 2^64.
+
+    Each double drawn takes one 64-bit output, so advance(k) on its bit
+    generator skips exactly k doubles.
+    """
 
     __slots__ = ("seed", "_gen")
 
@@ -62,8 +67,7 @@ class RandomStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = np.array([self.seed % 2**64, 0], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            self._gen = np.random.Generator(np.random.PCG64DXSM(self.seed % 2**64))
         return self._gen
 
     def uniform(self) -> float:

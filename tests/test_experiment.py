@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,7 +167,15 @@ class TestConfigParsing:
         ("model.doc.rate", "2", ConfigInvalid),
         ("ell.exponent", None, ConfigInvalid),
         ("ell.x_min", "3", ConfigInvalid),
+        ("name", True, ConfigInvalid),
+        ("name", 3, ConfigInvalid),
+        ("output", 3, ConfigInvalid),
+        ("output", ["out"], ConfigInvalid),
+        ("format", 1, ConfigInvalid),
+        ("variants[0].label", 5, ConfigInvalid),
+        ("variants[0].label", None, ConfigInvalid),
         ("skip_coupling_check", True, True),
+        ("name", "run", "run"),
         ("seed", 3.0, 3),
         ("samples", 2500, 2500),
         ("workers", 2.0, 2),
@@ -178,14 +187,17 @@ class TestConfigParsing:
     def test_numbers_and_flags_are_strict(self, tmp_path, capsys, key, value, want):
         # an int may come as an integral float, a float as an int; nothing
         # else converts, and a rejected value is named by its key
-        raw = minimal_config(ell={"kind": "log_power", "coeff": 1.0, "exponent": 1.0})
+        raw = minimal_config(ell={"kind": "log_power", "coeff": 1.0, "exponent": 1.0},
+                             variants=[{"label": "v", "channel": {"family": "exponential",
+                                                                  "rate": 1.0}}])
         *blocks, leaf = key.split(".")
         block = raw
         for name in blocks:
-            block = block[name]
+            name, _, index = name.partition("[")
+            block = block[name][int(index[:-1])] if index else block[name]
         block[leaf] = value
         if want is ConfigInvalid:
-            with pytest.raises(ConfigInvalid, match=f"^{key}: "):
+            with pytest.raises(ConfigInvalid, match=f"^{re.escape(key)}: "):
                 E.parse_config(raw)
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(raw))
@@ -217,6 +229,41 @@ class TestConfigParsing:
         path.write_text(json.dumps(raw))
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("key, raw", [
+        ("ell.xmin", minimal_config(ell={"kind": "log_power", "coeff": 1, "exponent": 1,
+                                         "xmin": 50})),
+        ("ell.coeff", minimal_config(ell={"kind": "one", "coeff": 1})),
+        ("model.channel.rat", minimal_config(model={
+            "channel": {"family": "exponential", "rate": 1, "rat": 5}, "bound": 1.0})),
+        ("model.doc.scale", minimal_config(model={
+            "channel": {"family": "exponential", "rate": 1},
+            "doc": {"family": "exponential", "rate": 2, "scale": 1}, "bound": 1.0})),
+        ("model.doc.rate", minimal_config(alpha=2.0, model={
+            "channel": {"family": "exponential", "rate": 1},
+            "doc": {"derived": True, "rate": 2}, "bound": 1.0})),
+        ("model.bnd", minimal_config(model={
+            "channel": {"family": "exponential", "rate": 1},
+            "doc": {"family": "exponential", "rate": 2}, "bound": 1.0, "bnd": 2})),
+        ("grid.n_maxx", minimal_config(grid={"n_maxx": 30})),
+        ("variants[0].bound", minimal_config(variants=[{
+            "label": "v", "channel": {"family": "exponential", "rate": 1}, "bound": 2}])),
+        ("variants[0].lable", minimal_config(variants=[{
+            "lable": "v", "channel": {"family": "exponential", "rate": 1}}])),
+    ])
+    def test_unknown_fields_are_config_errors(self, tmp_path, capsys, key, raw):
+        # a misspelt or misplaced key is named with its path, never dropped
+        with pytest.raises(ConfigInvalid, match=rf"^{re.escape(key)}: unknown field; known: "):
+            E.parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: unknown field")
+
+    def test_a_law_doc_block_may_say_it_is_not_derived(self):
+        raw = minimal_config()
+        raw["model"]["doc"]["derived"] = False
+        assert E.parse_config(raw) == E.parse_config(minimal_config())
 
     def test_n_max_flag_on_a_malformed_grid(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -468,8 +515,9 @@ class TestGoldenOutput:
     tests/data/golden holds the data files and sidecar reports of
     `retxdist run --config tests/data/golden/config.json` in both formats
     (all seven curves, n = 1..30, 2,000 samples, one worker). The MC
-    columns pin numpy's Philox stream and the oracle column the quadrature,
-    so a change that moves either must regenerate these files on purpose.
+    columns pin numpy's PCG64DXSM stream and the oracle column the
+    quadrature, so a change that moves either must regenerate these files
+    on purpose.
     """
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

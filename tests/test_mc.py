@@ -214,11 +214,23 @@ class TestBlockCounts:
         short = mc.sample_N_batch(m, mc.RandomStream(43), 2 * mc._BLOCK)
         long = mc.sample_N_batch(m, mc.RandomStream(43), 5 * mc._BLOCK + 7)
         assert np.array_equal(short, long[:short.size])
-        # and advancing _BLOCK_STEPS Philox steps per block lands on a block
+        # and advancing _BLOCK_STEPS generator outputs per block lands on a block
         gen = mc.RandomStream(43).generator
         gen.bit_generator.advance(3 * mc._BLOCK_STEPS)
         tail = np.concatenate(list(mc._count_blocks(m, gen, 2 * mc._BLOCK + 7)))
         assert np.array_equal(tail, long[3 * mc._BLOCK:])
+
+    @pytest.mark.parametrize("family", ["exponential", "gamma_table"])
+    def test_block_steps_match_the_generator(self, family):
+        # one whole block moves the bit generator exactly as far as
+        # advance(_BLOCK_STEPS) does, so span starts land on block starts
+        m = _FAMILY_MODELS[family]()
+        gen = mc.RandomStream(45).generator
+        assert type(gen.bit_generator) is np.random.PCG64DXSM
+        mc._batch_counts(m, dists.sampling_quantile(m.doc), gen, mc._BLOCK)
+        fresh = mc.RandomStream(45).generator
+        fresh.bit_generator.advance(mc._BLOCK_STEPS)
+        assert gen.bit_generator.state == fresh.bit_generator.state
 
     @pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
     def test_working_set_below_4_mib(self, family):
