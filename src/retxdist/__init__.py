@@ -49,6 +49,7 @@ from .mc import (
     RandomStream,
     Tally,
     empirical_ccdf,
+    run_tallies,
     run_tally,
     sample_N_naive,
     wilson_interval,
@@ -62,7 +63,7 @@ __all__ = [
     "SlowVaryLogPower", "SlowVaryOne", "Tally", "TransitionReport", "Weibull",
     "ccdf_exact", "ccdf_exact_curve", "derive_doc_law", "empirical_ccdf",
     "exact_integer_ccdf", "exp_tail_asymptote", "exp_tail_general", "log_body",
-    "log_upper_bound", "power_law_limit", "power_law_region_check", "run_tally",
-    "sample_N_naive", "transition_point",
+    "log_upper_bound", "power_law_limit", "power_law_region_check", "run_tallies",
+    "run_tally", "sample_N_naive", "transition_point",
     "uniform_approx", "validate_coupling", "wilson_interval",
 ]

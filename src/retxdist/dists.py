@@ -25,6 +25,7 @@ classes are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import importlib
 import logging
 import math
 from dataclasses import dataclass, field
@@ -32,7 +33,6 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import special
 
 from . import gammafn
 from .errors import (
@@ -45,6 +45,28 @@ from .errors import (
 ArrayLike = Union[float, np.ndarray]
 
 _log = logging.getLogger(__name__)
+
+
+class LazyModule:
+    """A module's stand-in under a name in another module's namespace.
+
+    The first attribute read imports the module and rebinds the name to
+    it, so later reads are a plain global lookup. Importing scipy.special
+    is a large part of the package's import time, and only gamma laws and
+    confidence intervals use it.
+    """
+
+    def __init__(self, namespace: dict, name: str, module: str):
+        self._namespace, self._name, self._module = namespace, name, module
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._module)
+        self._namespace[self._name] = module
+        return getattr(module, attr)
+
+
+# scipy.special, imported at its first use
+special = LazyModule(globals(), "special", "scipy.special")
 
 # Grid sizes fixed by the model-validation contracts.
 COUPLING_GRID_POINTS = 64

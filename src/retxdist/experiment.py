@@ -12,10 +12,15 @@ CLI flag sets is in CONFIG_KEYS. Law and ell blocks map through their
 family/kind tag and dataclass fields.
 
 Every CLI verb goes through the same case path: map_cases builds each
-case's model and prefixes any RetxError raised inside the case with
-"case <label>: "; closed_form_columns computes the closed forms over a
-grid, NaN where a form is undefined; coupling_residual reads a model's
+case's model; case_errors prefixes any RetxError raised inside a case
+with "case <label>: "; closed_form_columns computes the closed forms over
+a grid, NaN where a form is undefined; coupling_residual reads a model's
 coupling residual.
+
+run_experiment runs in three phases: per case, the coupling check and
+the oracle over the candidate grid, which fixes the case's grid; one
+Monte Carlo pass over every case (mc.run_tallies); per case, the closed
+forms, the comparison report and the emitted files.
 
 The CSV column set is a frozen compatibility surface:
 
@@ -28,6 +33,7 @@ significant digits so a reload is numerically identical.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -36,7 +42,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,7 +72,8 @@ from .errors import (
     RetxError,
     UnknownPreset,
 )
-from .mc import empirical_ccdf, run_tally
+# run_tally is not called here; perfbench/spans.py patches it by name.
+from .mc import Tally, empirical_ccdf, run_tallies, run_tally
 # ccdf_exact is not called here; perfbench/spans.py patches it by name.
 from .oracle import OracleResult, ccdf_exact, ccdf_exact_curve
 
@@ -575,21 +582,25 @@ def build_model(channel: Law, doc_base: Optional[Law], alpha: float,
     return CoupledModel.parametric(channel, doc_base, alpha, ell, bound)
 
 
+@contextlib.contextmanager
+def case_errors(label: str) -> Iterator[None]:
+    """The one place a RetxError raised inside a case gains the prefix
+    "case <label>: " (same type, the original chained)."""
+    try:
+        yield
+    except RetxError as exc:
+        raise type(exc)(f"case {label}: {exc}") from exc
+
+
 def map_cases(cfg: ExperimentConfig,
               fn: Callable[[str, CoupledModel], object]) -> list:
-    """fn(label, model) for each case of cfg, in order.
-
-    The one place a case's model is built, and the one place a RetxError
-    raised inside a case, while building its model or in fn, gains the
-    prefix "case <label>: " (same type, the original chained).
-    """
+    """fn(label, model) for each case of cfg, in order, each under
+    case_errors: the one place a case's model is built."""
     out = []
     for label, channel, doc_base, bound in cfg.cases():
-        try:
+        with case_errors(label):
             out.append(fn(label, build_model(channel, doc_base, cfg.alpha,
                                              cfg.ell, bound)))
-        except RetxError as exc:
-            raise type(exc)(f"case {label}: {exc}") from exc
     return out
 
 
@@ -643,7 +654,21 @@ def closed_form_columns(model: CoupledModel, names: Iterable[str],
     return columns
 
 
-def _run_case(cfg: ExperimentConfig, label: str, model: CoupledModel) -> CaseResult:
+class _Prepared(NamedTuple):
+    """A case after its coupling check and oracle curve: the grid is the
+    oracle's."""
+
+    label: str
+    model: CoupledModel
+    residual: Optional[float]
+    oracle: tuple[OracleResult, ...]
+
+    @property
+    def grid(self) -> list[int]:
+        return [r.n for r in self.oracle]
+
+
+def _prepare_case(cfg: ExperimentConfig, label: str, model: CoupledModel) -> _Prepared:
     residual = coupling_residual(model)
     if (residual is not None and residual > COUPLING_TOLERANCE
             and not cfg.skip_coupling_check):
@@ -653,13 +678,26 @@ def _run_case(cfg: ExperimentConfig, label: str, model: CoupledModel) -> CaseRes
     # The oracle is evaluated regardless of the requested curves: it
     # drives auto-grid trimming and the comparison report.
     floor = MIN_EXPECTED_TAIL_HITS / cfg.samples if cfg.grid.n_max is None else None
-    oracle_results = ccdf_exact_curve(model, candidate_grid(cfg, model),
-                                      stop_below=floor)
-    grid = [r.n for r in oracle_results]
+    return _Prepared(label, model, residual, tuple(ccdf_exact_curve(
+        model, candidate_grid(cfg, model), stop_below=floor)))
 
+
+def _tally_cases(cfg: ExperimentConfig, cases: Sequence[_Prepared]) -> list[Tally]:
+    """Every case's Monte Carlo tally from one pass; a failure names its case."""
+    try:
+        return run_tallies([(c.model, c.grid) for c in cases],
+                           cfg.samples, cfg.seed, cfg.workers)
+    except RetxError as exc:
+        with case_errors(cases[exc.case_index].label):
+            raise
+
+
+def _finish_case(cfg: ExperimentConfig, case: _Prepared,
+                 tally: Optional[Tally]) -> CaseResult:
+    label, model, residual, oracle_results = case
+    grid = case.grid
     table: dict = {}
-    if Source.MONTE_CARLO in cfg.curves:
-        tally = run_tally(model, grid, cfg.samples, cfg.seed, cfg.workers)
+    if tally is not None:
         table["mc_ccdf"], table["mc_ci_lo"], table["mc_ci_hi"] = \
             empirical_ccdf(tally, cfg.confidence)
     if Source.ORACLE in cfg.curves:
@@ -671,7 +709,7 @@ def _run_case(cfg: ExperimentConfig, label: str, model: CoupledModel) -> CaseRes
     files = tuple(emit_curves(table, report, cfg, label, grid)) \
         if cfg.output_prefix is not None else ()
     return CaseResult(label, model.bound, model, tuple(grid), table,
-                      tuple(oracle_results), report, files)
+                      oracle_results, report, files)
 
 
 def _compare(label: str, model: CoupledModel,
@@ -707,9 +745,17 @@ def _compare(label: str, model: CoupledModel,
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Run every case of the experiment; see the module docstring."""
-    cases = map_cases(cfg, lambda label, model: _run_case(cfg, label, model))
-    return RunResult(cfg, tuple(cases))
+    """Run every case of the experiment in three phases; see the module
+    docstring. A case that fails before the last phase leaves no case's
+    files written."""
+    prepared = map_cases(cfg, lambda label, model: _prepare_case(cfg, label, model))
+    tallies = (_tally_cases(cfg, prepared) if Source.MONTE_CARLO in cfg.curves
+               else [None] * len(prepared))
+    results = []
+    for case, tally in zip(prepared, tallies):
+        with case_errors(case.label):
+            results.append(_finish_case(cfg, case, tally))
+    return RunResult(cfg, tuple(results))
 
 
 # ---------------------------------------------------------------------------

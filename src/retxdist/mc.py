@@ -11,16 +11,24 @@ sample_N_naive purely so the two can be tested against each other.
 
 A run draws one PCG64DXSM stream, seeded by the seed alone, in blocks of
 _BLOCK samples: all of a block's document uniforms, then all of its
-geometric uniforms. A block is self-contained, so the first k whole
-blocks of a stream are the same whatever its length, and the working set
-is a few block-sized temporaries that stay in cache. Every double takes
-one 64-bit output of the generator, so a whole block takes 2^15 outputs
-and block k starts at advance(k * 2^15). run_tally splits a run into
-spans of whole blocks, each process advancing to its first block, so its
-output depends on the seed alone, not on how many processes drew it. A
-tally bins a block's counts through a table of grid positions built once
-per span, which equals searchsorted binning bit for bit, and adds one
-bincount per block.
+geometric uniforms, whose logs are taken once. A block is
+self-contained, so the first k whole blocks of a stream are the same
+whatever its length, and the working set is a few block-sized
+temporaries that stay in cache. Every double takes one 64-bit output of
+the generator, so a whole block takes 2^15 outputs and block k starts at
+advance(k * 2^15).
+
+run_tallies tallies every case of a run in one pass over the stream:
+each block is drawn once, and every case maps the same uniforms through
+its own document quantile and channel survival function, counts, and
+bins the counts into its own tally at once. So the cases share their
+draws (common random numbers), and each case's tally equals the one a
+pass of its own would give; run_tally is the pass over a single case.
+The pass splits into spans of whole blocks, each run in a process of one
+pool and advanced to its first block, so its output depends on the seed
+alone, not on how many processes drew it. A tally bins a block's counts
+through a table of grid positions built once per span, which equals
+searchsorted binning bit for bit, and adds one bincount per block.
 
 A run ends in a Tally of exceedance counts over a grid; empirical_ccdf
 turns it into the three Monte Carlo columns of a case table.
@@ -35,10 +43,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from .dists import CoupledModel, sampling_quantile
-from .errors import InvalidParameter
+from .dists import CoupledModel, LazyModule, sampling_quantile
+from .errors import InvalidParameter, RetxError
+
+# scipy.special, imported at wilson_interval's first call
+special = LazyModule(globals(), "special", "scipy.special")
 
 # Samples per draw block: a block's temporaries stay in cache.
 _BLOCK = 1 << 14
@@ -128,8 +138,9 @@ def sample_N_naive(m: CoupledModel, rng: RandomStream, cap: int) -> NaiveDraw:
     return NaiveDraw(cap, True)
 
 
-def _geometric_counts(p: np.ndarray, u_geo: np.ndarray) -> np.ndarray:
-    """ceil(log u_geo / log(1 - p)) as int64, in place over both arrays.
+def _geometric_counts(p: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+    """ceil(log_u / log(1 - p)) as int64, in place over p; log_u, the logs
+    of the geometric uniforms, is only read.
 
     1 where p >= _SURE_SUCCESS; a ratio that is not finite (p = 0, or an
     overflow for p near 5e-324) counts as _N_CAP; everything else is
@@ -139,8 +150,7 @@ def _geometric_counts(p: np.ndarray, u_geo: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.negative(p, out=p)
         np.log1p(p, out=p)
-        n = np.log(u_geo, out=u_geo)
-        np.divide(n, p, out=n)
+        n = np.divide(log_u, p, out=p)
     cap = float(_N_CAP)
     np.ceil(n, out=n)
     np.fmin(n, cap, out=n)          # NaN and +inf become cap too
@@ -156,29 +166,49 @@ def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, out, out=out)
 
 
-def _batch_counts(m: CoupledModel, quantile: Callable[[np.ndarray], np.ndarray],
-                  gen: np.random.Generator, size: int) -> np.ndarray:
-    """One vectorized block of retransmission counts.
+def _draw_block(gen: np.random.Generator, u: np.ndarray,
+                log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block, in place: the document uniforms into u, then the
+    geometric uniforms into log_u, and their logs over them."""
+    _uniforms(gen, u)
+    np.log(_uniforms(gen, log_u), out=log_u)
+    return u, log_u
 
-    quantile maps the block's document uniforms to sizes; the geometric
-    uniforms are drawn after it, into the same buffer.
+
+def _block_counts(m: CoupledModel, quantile: Callable[[np.ndarray], np.ndarray],
+                  u: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+    """m's retransmission counts for one drawn block.
+
+    quantile maps the document uniforms u to sizes. Neither it nor this
+    writes into u or log_u, which every case of a pass reads.
     """
-    u = _uniforms(gen, np.empty(size))
     p = np.asarray(m.channel.ccdf(quantile(u)), dtype=float)
-    return _geometric_counts(p, _uniforms(gen, u))
+    return _geometric_counts(p, log_u)
 
 
-def _count_blocks(m: CoupledModel, gen: np.random.Generator,
-                  size: int) -> Iterator[np.ndarray]:
-    """size retransmission counts, yielded one _BLOCK-sample block at a time.
+def _count_blocks(models: Sequence[CoupledModel], gen: np.random.Generator,
+                  size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, counts of models[i]) for each _BLOCK-sample block of size
+    samples, the models in order within a block.
 
-    Each block is one _batch_counts call, so it draws all its document
-    uniforms and then all its geometric uniforms; every document is drawn
-    through one sampling_quantile of m.doc.
+    The one block loop: each block is drawn once, and every model's
+    documents come from one sampling_quantile of its doc. A RetxError
+    raised for a model carries its index as case_index.
     """
-    quantile = sampling_quantile(m.doc)
-    for done in range(0, size, _BLOCK):
-        yield _batch_counts(m, quantile, gen, min(_BLOCK, size - done))
+    i = 0
+    try:
+        quantiles = []
+        for i, m in enumerate(models):
+            quantiles.append(sampling_quantile(m.doc))
+        u_buf, log_buf = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
+        for done in range(0, size, _BLOCK):
+            k = min(_BLOCK, size - done)
+            u, log_u = _draw_block(gen, u_buf[:k], log_buf[:k])
+            for i, (m, quantile) in enumerate(zip(models, quantiles)):
+                yield i, _block_counts(m, quantile, u, log_u)
+    except RetxError as exc:
+        exc.case_index = i
+        raise
 
 
 def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
@@ -192,52 +222,71 @@ def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
     """
     if size < 1:
         raise InvalidParameter(f"size must be >= 1, got {size}")
-    return np.concatenate(list(_count_blocks(m, rng.generator, size)))
+    return np.concatenate([n for _, n in _count_blocks([m], rng.generator, size)])
 
 
-def _stream_tally(m: CoupledModel, grid: Sequence[int], quota: int,
-                  seed: int, first_block: int) -> Tally:
-    """Tally quota samples of the seed's stream from block first_block on,
-    block by block, so memory stays bounded.
+class _Bins:
+    """One grid's bin counts, added block by block.
 
     Counts are binned through lut[k] = searchsorted(grid, k) for k = 0..top,
-    built once per call; top is the grid's end plus one, capped at
-    _TABLE_MAX. Counts >= top are looked up at top, which is exact unless
-    the grid runs past the table: there the counts above top go through
-    searchsorted. So each bin equals searchsorted(grid, n, side="left") bit
-    for bit.
+    built once; top is the grid's end plus one, capped at _TABLE_MAX.
+    Counts >= top are looked up at top, which is exact unless the grid runs
+    past the table: there the counts above top go through searchsorted. So
+    each bin equals searchsorted(grid, n, side="left") bit for bit.
     """
-    grid_arr = np.asarray(list(grid), dtype=np.int64)
-    end = int(grid_arr[-1]) + 1 if grid_arr.size else 0
-    top = min(max(end, 0), _TABLE_MAX)
-    lut = np.searchsorted(grid_arr, np.arange(top + 1), side="left")
-    bins = np.zeros(len(grid_arr) + 1, dtype=np.int64)
+
+    __slots__ = ("grid", "top", "far", "lut", "bins")
+
+    def __init__(self, grid: Sequence[int]):
+        self.grid = np.asarray(list(grid), dtype=np.int64)
+        end = int(self.grid[-1]) + 1 if self.grid.size else 0
+        self.top = min(max(end, 0), _TABLE_MAX)
+        self.far = end > self.top
+        self.lut = np.searchsorted(self.grid, np.arange(self.top + 1), side="left")
+        self.bins = np.zeros(len(self.grid) + 1, dtype=np.int64)
+
+    def add(self, n: np.ndarray) -> None:
+        # counts are >= 1, so clip mode only clamps them to top
+        idx = self.lut.take(n, mode="clip")
+        if self.far:
+            far = n > self.top
+            idx[far] = np.searchsorted(self.grid, n[far], side="left")
+        self.bins += np.bincount(idx, minlength=len(self.bins))
+
+    def tally(self, total: int) -> Tally:
+        # exceed[i] counts samples with n > grid[i]: all bin indices > i.
+        exceed = np.cumsum(self.bins[::-1])[::-1][1:]
+        return Tally(tuple(int(g) for g in self.grid),
+                     tuple(int(c) for c in exceed), total)
+
+
+def _stream_tallies(cases: Sequence[tuple[CoupledModel, Sequence[int]]],
+                    quota: int, seed: int, first_block: int) -> list[Tally]:
+    """Per case, the tally of quota samples of the seed's stream from block
+    first_block on, block by block, so memory stays bounded."""
+    bins = [_Bins(grid) for _, grid in cases]
     gen = RandomStream(seed).generator
     gen.bit_generator.advance(first_block * _BLOCK_STEPS)
-    for n in _count_blocks(m, gen, quota):
-        # counts are >= 1, so clip mode only clamps them to top
-        idx = lut.take(n, mode="clip")
-        if end > top:
-            far = n > top
-            idx[far] = np.searchsorted(grid_arr, n[far], side="left")
-        bins += np.bincount(idx, minlength=len(bins))
-        # Free the indices before the next block is drawn: one more live
+    for i, n in _count_blocks([m for m, _ in cases], gen, quota):
+        bins[i].add(n)
+        # Free the counts before the next case's are made: one more live
         # block-sized array makes malloc trim and regrow the heap per block.
-        del idx
-    # exceed[i] counts samples with n > grid[i]: all bin indices > i.
-    exceed = np.cumsum(bins[::-1])[::-1][1:]
-    return Tally(tuple(int(g) for g in grid_arr),
-                 tuple(int(c) for c in exceed), quota)
+        del n
+    return [b.tally(quota) for b in bins]
 
 
-def run_tally(m: CoupledModel, grid: Sequence[int], samples: int,
-              seed: int, workers: int = 1) -> Tally:
-    """Exceedance tally over the grid of samples draws from the seed's stream.
+def run_tallies(cases: Sequence[tuple[CoupledModel, Sequence[int]]], samples: int,
+                seed: int, workers: int = 1) -> list[Tally]:
+    """Per (model, grid) case, the exceedance tally over the grid of samples
+    draws from the seed's stream, all cases in one pass over it.
 
+    Every case reads the same draws, and its tally equals run_tally's.
     workers is a process count only: the result depends on the seed alone.
     The stream's blocks split into at most min(workers, CPUs) spans of whole
-    blocks, the last taking the partial block; each span runs in its own
-    process from its first block, and the spans' tallies add exactly.
+    blocks, the last taking the partial block; each span runs every case in
+    a process of one pool from its first block, and the spans' tallies add
+    exactly. A RetxError raised by a case's model carries its position in
+    cases as case_index.
     """
     if samples < 1:
         raise InvalidParameter(f"samples must be >= 1, got {samples}")
@@ -246,7 +295,7 @@ def run_tally(m: CoupledModel, grid: Sequence[int], samples: int,
     blocks = -(-samples // _BLOCK)
     runs = min(workers, blocks, os.cpu_count() or 1)
     if runs == 1:
-        return _stream_tally(m, grid, samples, seed, 0)
+        return _stream_tallies(cases, samples, seed, 0)
 
     starts = [blocks * k // runs for k in range(runs + 1)]
     quotas = [min(stop * _BLOCK, samples) - start * _BLOCK
@@ -255,9 +304,17 @@ def run_tally(m: CoupledModel, grid: Sequence[int], samples: int,
     # this branch needs it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=runs) as pool:
-        futures = [pool.submit(_stream_tally, m, grid, quota, seed, start)
+        futures = [pool.submit(_stream_tallies, cases, quota, seed, start)
                    for quota, start in zip(quotas, starts)]
-        return functools.reduce(Tally.merge, (f.result() for f in futures))
+        spans = [f.result() for f in futures]
+    return [functools.reduce(Tally.merge, case) for case in zip(*spans)]
+
+
+def run_tally(m: CoupledModel, grid: Sequence[int], samples: int,
+              seed: int, workers: int = 1) -> Tally:
+    """Exceedance tally over the grid of samples draws from the seed's
+    stream: run_tallies over the one case (m, grid)."""
+    return run_tallies([(m, grid)], samples, seed, workers)[0]
 
 
 def wilson_interval(successes: int, total: int, confidence: float) -> tuple[float, float]:
@@ -266,7 +323,7 @@ def wilson_interval(successes: int, total: int, confidence: float) -> tuple[floa
         raise InvalidParameter(f"confidence must be in (0, 1), got {confidence}")
     if total <= 0:
         raise InvalidParameter("total must be positive")
-    z = float(ndtri(0.5 + confidence / 2.0))
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2.0 * total)) / denom

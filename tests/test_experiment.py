@@ -452,6 +452,37 @@ def test_monte_carlo_failure_names_case(monkeypatch):
         E.run_experiment(cfg)
 
 
+def test_monte_carlo_failure_names_the_later_case(monkeypatch, tmp_path):
+    # both cases share one pass; only the second one's quantile raises, and
+    # no case's files are written
+    sampling_quantile = mc.sampling_quantile
+
+    def stuck_at_b2(doc):
+        if doc.bound != 2.0:
+            return sampling_quantile(doc)
+
+        def quantile(u):
+            raise NonConvergence("derived quantile: 5 values still moving")
+        return quantile
+
+    monkeypatch.setattr(mc, "sampling_quantile", stuck_at_b2)
+    model = {**minimal_config()["model"], "bound": [1.0, 2.0]}
+    cfg = E.parse_config(minimal_config(model=model, output=str(tmp_path / "run")))
+    with pytest.raises(NonConvergence, match=r"^case b2: derived quantile: "):
+        E.run_experiment(cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, retxdist.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestCaseErrors:
     """Every verb names the case a failure happened in."""
 

@@ -10,7 +10,7 @@ from conftest import ks_two_sample_ints, model_1a, model_1b, model_3, model_4
 from retxdist import dists, mc
 from retxdist.dists import (BoundedDoc, CoupledModel, Exponential, SlowVaryLogPower,
                             SlowVaryOne, Weibull, derive_doc_law)
-from retxdist.errors import InvalidParameter
+from retxdist.errors import InvalidParameter, NonConvergence
 from retxdist.oracle import ccdf_exact
 
 
@@ -40,6 +40,17 @@ class _PointMassLaw:
 def _point_mass_model(x0, channel=Exponential(1.0)):
     return CoupledModel(channel, BoundedDoc(_PointMassLaw(x0), x0 + 1.0),
                         1.0, SlowVaryOne())
+
+
+def _batch_counts(m, quantile, gen, size):
+    """One size-sample block of m's counts drawn from gen, as a pass draws it."""
+    return mc._block_counts(m, quantile,
+                            *mc._draw_block(gen, np.empty(size), np.empty(size)))
+
+
+def _stream_tally(m, grid, quota, seed, first_block):
+    """The one-case pass of a span."""
+    return mc._stream_tallies([(m, grid)], quota, seed, first_block)[0]
 
 
 class TestRandomStream:
@@ -137,8 +148,11 @@ class TestGeometricCounts:
                              1.0 - rng.random(200)])
         p, u = (a.ravel() for a in np.meshgrid(ps, us))
         want = _unfused_counts(p.copy(), u.copy())
-        got = mc._geometric_counts(p.copy(), u.copy())
+        log_u = np.log(u)
+        got = mc._geometric_counts(p.copy(), log_u)
         assert np.array_equal(got, want)
+        # every case of a pass reads the same logs: they are never written
+        assert np.array_equal(log_u, np.log(u))
         # the crafted edges all occur: sure successes, u = 1, and the cap
         assert np.any(want == mc._N_CAP) and np.any((want == 1) & (u == 1.0))
         assert np.any((p >= sure) & (u < 0.5) & (want == 1))
@@ -162,18 +176,18 @@ class TestGammaDocuments:
         monkeypatch.setattr(dists, "_GAMMA_TABLE_MAX_PANELS", dists._GAMMA_TABLE_PANELS)
         m = model_4(3.0)
         got = mc.sample_N_batch(m, mc.RandomStream(14), 5_000)
-        want = mc._batch_counts(m, m.doc.quantile_from_uniform,
-                                mc.RandomStream(14).generator, 5_000)
+        want = _batch_counts(m, m.doc.quantile_from_uniform,
+                             mc.RandomStream(14).generator, 5_000)
         assert np.array_equal(got, want)
 
     def test_table_counts_match_exact_counts(self):
         # same uniforms, quantiles 1e-12 apart: counts differ only where a
         # draw sits on a geometric boundary
         m = model_4(3.0)
-        table = mc._batch_counts(m, dists.sampling_quantile(m.doc),
-                                 mc.RandomStream(15).generator, 100_000)
-        exact = mc._batch_counts(m, m.doc.quantile_from_uniform,
-                                 mc.RandomStream(15).generator, 100_000)
+        table = _batch_counts(m, dists.sampling_quantile(m.doc),
+                              mc.RandomStream(15).generator, 100_000)
+        exact = _batch_counts(m, m.doc.quantile_from_uniform,
+                              mc.RandomStream(15).generator, 100_000)
         assert np.count_nonzero(table != exact) <= 2
 
 
@@ -199,12 +213,12 @@ class TestBlockCounts:
         quantile = dists.sampling_quantile(m.doc)
         assert isinstance(quantile, dists._GammaQuantileTable) == (family == "gamma_table")
         want = np.concatenate([
-            mc._batch_counts(m, quantile, gen, min(mc._BLOCK, _BLOCKS_QUOTA - done))
+            _batch_counts(m, quantile, gen, min(mc._BLOCK, _BLOCKS_QUOTA - done))
             for done in range(0, _BLOCKS_QUOTA, mc._BLOCK)])
         got = mc.sample_N_batch(m, mc.RandomStream(41), _BLOCKS_QUOTA)
         assert np.array_equal(got, want)
         grid = [0, 1, 2, 3, 5, 10, 30, 100, 1000, 10**6]
-        tally = mc._stream_tally(m, grid, _BLOCKS_QUOTA, 41, 0)
+        tally = _stream_tally(m, grid, _BLOCKS_QUOTA, 41, 0)
         assert tally.exceed_counts == tuple(int(np.count_nonzero(want > n))
                                             for n in grid)
 
@@ -217,7 +231,8 @@ class TestBlockCounts:
         # and advancing _BLOCK_STEPS generator outputs per block lands on a block
         gen = mc.RandomStream(43).generator
         gen.bit_generator.advance(3 * mc._BLOCK_STEPS)
-        tail = np.concatenate(list(mc._count_blocks(m, gen, 2 * mc._BLOCK + 7)))
+        tail = np.concatenate([n for _, n in
+                               mc._count_blocks([m], gen, 2 * mc._BLOCK + 7)])
         assert np.array_equal(tail, long[3 * mc._BLOCK:])
 
     @pytest.mark.parametrize("family", ["exponential", "gamma_table"])
@@ -227,7 +242,7 @@ class TestBlockCounts:
         m = _FAMILY_MODELS[family]()
         gen = mc.RandomStream(45).generator
         assert type(gen.bit_generator) is np.random.PCG64DXSM
-        mc._batch_counts(m, dists.sampling_quantile(m.doc), gen, mc._BLOCK)
+        _batch_counts(m, dists.sampling_quantile(m.doc), gen, mc._BLOCK)
         fresh = mc.RandomStream(45).generator
         fresh.bit_generator.advance(mc._BLOCK_STEPS)
         assert gen.bit_generator.state == fresh.bit_generator.state
@@ -238,7 +253,7 @@ class TestBlockCounts:
         m = _FAMILY_MODELS[family]()
         tracemalloc.start()
         try:
-            mc._stream_tally(m, [1, 2, 5, 10, mc._TABLE_MAX], (1 << 20) + 7, 41, 0)
+            _stream_tally(m, [1, 2, 5, 10, mc._TABLE_MAX], (1 << 20) + 7, 41, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,7 +289,7 @@ class TestTableBinning:
         counts = mc.sample_N_batch(m, mc.RandomStream(47), _BLOCKS_QUOTA)
         if model == "zero_p":
             assert np.all(counts == mc._N_CAP)
-        got = mc._stream_tally(m, _BINNING_GRIDS[grid], _BLOCKS_QUOTA, 47, 0)
+        got = _stream_tally(m, _BINNING_GRIDS[grid], _BLOCKS_QUOTA, 47, 0)
         assert got == _searchsorted_tally(counts, _BINNING_GRIDS[grid])
 
     @pytest.mark.parametrize("grid", [*_BINNING_GRIDS.values(), [-3], [-3, 0, 5],
@@ -285,13 +300,13 @@ class TestTableBinning:
         counts = np.concatenate([np.arange(1, _TOP + 4),
                                  [2**53, 2**53 + 1, 2**53 + 2, 2**62 - 1, 2**62,
                                   2**63 - 1]]).astype(np.int64)
-        monkeypatch.setattr(mc, "_count_blocks",
-                            lambda m, gen, size: iter(np.array_split(counts, 2)))
-        got = mc._stream_tally(_point_mass_model(1.0), grid, counts.size, 1, 0)
+        monkeypatch.setattr(mc, "_count_blocks", lambda models, gen, size: (
+            (0, n) for n in np.array_split(counts, 2)))
+        got = _stream_tally(_point_mass_model(1.0), grid, counts.size, 1, 0)
         assert got == _searchsorted_tally(counts, grid)
 
     def test_empty_grid(self, exp_pair_b1):
-        assert mc._stream_tally(exp_pair_b1, [], 100, 1, 0) == mc.Tally((), (), 100)
+        assert _stream_tally(exp_pair_b1, [], 100, 1, 0) == mc.Tally((), (), 100)
 
 
 class TestRunTally:
@@ -305,9 +320,9 @@ class TestRunTally:
         # the stream drawn in one go
         grid = [1, 2, 5, 10]
         quota = 5 * mc._BLOCK + 123
-        whole = mc._stream_tally(exp_pair_b1, grid, quota, 88, 0)
-        head = mc._stream_tally(exp_pair_b1, grid, 2 * mc._BLOCK, 88, 0)
-        tail = mc._stream_tally(exp_pair_b1, grid, quota - 2 * mc._BLOCK, 88, 2)
+        whole = _stream_tally(exp_pair_b1, grid, quota, 88, 0)
+        head = _stream_tally(exp_pair_b1, grid, 2 * mc._BLOCK, 88, 0)
+        tail = _stream_tally(exp_pair_b1, grid, quota - 2 * mc._BLOCK, 88, 2)
         assert head.merge(tail) == whole
         assert mc.run_tally(exp_pair_b1, grid, quota, seed=88) == whole
 
@@ -342,6 +357,62 @@ class TestRunTally:
                 mc.sample_N_batch(exp_pair_b1, mc.RandomStream(1), size)
         with pytest.raises(InvalidParameter):
             mc.run_tally(exp_pair_b1, [1], 10, seed=1, workers=0)
+
+
+# A mixed-family run: a grid running past the binning table, an empty grid,
+# and three document families.
+_JOINT_CASES = [
+    (_FAMILY_MODELS["exponential"], [1, 2, 5, 10, 100]),
+    (_BINNING_MODELS["table_end"], _BINNING_GRIDS["past_table"]),
+    (_FAMILY_MODELS["gamma_table"], [1, 3, 10, 30, 1000]),
+    (_FAMILY_MODELS["weibull"], []),
+    (_FAMILY_MODELS["derived_log_power"], [1, 2, 5, 10, 100, mc._TABLE_MAX]),
+]
+
+
+class TestRunTallies:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_case_equals_a_lone_run_tally(self, workers, monkeypatch):
+        # the cases share every block, and each one's tally is the one a
+        # pass of its own gives, on every pool size
+        import os
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cases = [(make(), grid) for make, grid in _JOINT_CASES]
+        samples = 5 * mc._BLOCK + 123
+        got = mc.run_tallies(cases, samples, seed=9, workers=workers)
+        assert got == [mc.run_tally(m, grid, samples, seed=9) for m, grid in cases]
+
+    def test_generator_is_drawn_once_per_block(self):
+        models = [make() for make in _FAMILY_MODELS.values()][:3]
+        states = []
+        for some in (models, models[:1]):
+            gen = mc.RandomStream(51).generator
+            for _ in mc._count_blocks(some, gen, 2 * mc._BLOCK + 7):
+                pass
+            states.append(gen.bit_generator.state)
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
+    def test_three_case_working_set_below_6_mib(self, family):
+        # three binning tables as large as they get, and three quantiles
+        m = _FAMILY_MODELS[family]()
+        tracemalloc.start()
+        try:
+            mc._stream_tallies([(m, [1, 2, 5, 10, mc._TABLE_MAX])] * 3,
+                               (1 << 20) + 7, 41, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+
+    def test_a_failure_carries_its_case_index(self, monkeypatch):
+        # with no Newton steps allowed, only the derived second case fails
+        stuck = _FAMILY_MODELS["derived_log_power"]()
+        monkeypatch.setattr(type(stuck.doc.base), "QUANTILE_MAX_ITER", 0)
+        cases = [(_FAMILY_MODELS["exponential"](), [1, 2]), (stuck, [1, 2])]
+        with pytest.raises(NonConvergence) as info:
+            mc.run_tallies(cases, 1000, seed=1)
+        assert info.value.case_index == 1
 
 
 class TestTallyAndCurve:
