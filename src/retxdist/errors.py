@@ -23,7 +23,9 @@ class NonConvergence(RetxError):
 
 
 class QuadratureFailure(RetxError):
-    """Adaptive quadrature could not meet the error target."""
+    """The oracle's quadrature missed its error target: the rule's two
+    levels differ by more than oracle.REL_TOL, or the integral is not
+    positive."""
 
 
 class DegenerateTruncation(RetxError):

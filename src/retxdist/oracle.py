@@ -3,65 +3,52 @@
 Given the document, the retransmission count is geometric with success
 probability W = Gbar(L_b) in [g, 1], g = Gbar(b), so P[N_b > n] =
 E[(1 - W)^n]. W has distribution function H(w), the bounded-document
-survival at the channel quantile of w. By parts, with w = g + (1 - g) y,
+survival at the channel quantile of w. By parts, with
+w = g + (1 - g) y and y = 1 - e^(-s/n),
 
-    P[N_b > n] = n (1 - g)^n int_0^1 (1 - y)^(n-1) H(g + (1 - g) y) dy.
+    P[N_b > n] = (1 - g)^n int_0^inf e^(-s) H(g + (1 - g) y(s)) ds.
 
 H calls no document quantile, so the oracle shares no law method with
 Monte Carlo (document quantile, then channel ccdf). The factor
 (1 - g)^n is taken out exactly, which keeps log values exact far below
 float underflow (deep tails reach e^-4000 and below).
 
-The weight's mass lies in a layer of width 1/n at y = 0, and H varies on
-the scale g there. Seed panel edges are points of one fixed lattice,
-y_j = 10^(-j/6), taken from the first point at or below a quarter of the
-smaller scale up to 1, so every scale is sampled before adaptive
-refinement starts. A log_power ell is clamped at x_min, which kinks H at
-w = 1/x_min; that point is one more edge.
+The weight is e^(-s) for every n, and H is smooth in s, so one fixed
+exp-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974) serves every call:
+nodes s_k = exp(pi/2 sinh(kh)) with h = 1/32, kh in [-4, 4] and s_k < 800,
+197 nodes computed once at import. The even-k nodes are the same rule at
+step 2h; the two levels' difference is the error estimate, and a call
+whose levels differ by more than REL_TOL relative raises.
 
-H does not depend on n, and the lattice does not move with n, so a seed
-depends only on the model and its lattice depth. Seeds, with H at the
-Kronrod nodes of their panels, are memoized by (model, depth) in one
-least-recently-used memo of _SEED_MEMO entries; models compare by value,
-so equal models share entries. Repeated calls then pay one weight
-evaluation for the seed pass. Every call goes through the memo, so a
-value does not depend on which calls came before it.
+A log_power ell is clamped at x_min, which kinks H at w = 1/x_min. Where
+that point lies in (g, 1) the integral is split at its s, s_c, and both
+pieces take the same nodes sigma_k: s = s_c (1 - e^(-sigma/s_c)) on
+[0, s_c) and s = s_c + sigma on [s_c, inf), 394 nodes in all.
 
-Evaluations are pure, and concurrent calls are safe: a race on the memo
-only repeats work, and both sides compute the same values.
+Evaluations are pure and hold no state between calls, so concurrent calls
+are safe and a value does not depend on the calls before it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dists import CoupledModel, SlowVaryLogPower
 from .errors import InvalidParameter, QuadratureFailure
 from .gammafn import exp_or_zero
-from .quadrature import integrate_adaptive, panel_nodes
 
 REL_TOL = 5e-13
-# Successful calls take at most 64 panels on every preset's auto grid and
-# 1,939 at the deepest bound (g = 1e-323); a failing call raises after at
-# most MAX_PANELS, in milliseconds rather than seconds.
-MAX_PANELS = 20_000
 
-# Seed edges are points of one lattice, _EDGES_PER_DECADE per decade of y,
-# down to 1e-323; fewer per decade leave layers to refinement rounds, each
-# one more integrand pass.
-_EDGES_PER_DECADE = 6
-_LATTICE = np.array([10.0 ** (-j / _EDGES_PER_DECADE)
-                     for j in range(323 * _EDGES_PER_DECADE + 1)])
-# Seeds kept, by (model, depth), least recently used first out. exact-query's
-# n in [2, 1e4] reach 165 (case, depth) pairs (tests/test_tooling.py checks
-# that they fit) and a run's candidate grids at most 111. The deepest seed,
-# g = 1e-323, is 248 KB, so a full memo holds at most about 64 MB.
-_SEED_MEMO = 256
+# The exp-sinh rule in sigma: nodes, h dsigma/dt, and weights for e^(-sigma).
+_T = np.arange(-128, 129) / 32.0
+_KEEP = np.exp(0.5 * np.pi * np.sinh(_T)) < 800.0
+_SIGMA = np.exp(0.5 * np.pi * np.sinh(_T[_KEEP]))
+_DSIGMA = np.pi / 64.0 * np.cosh(_T[_KEEP]) * _SIGMA
+_WEIGHTS = _DSIGMA * np.exp(-_SIGMA)
 
 
 @dataclass(frozen=True)
@@ -69,8 +56,8 @@ class OracleResult:
     """One exact CCDF value with an error estimate.
 
     log_value is exact even when value underflows to 0; est_abs_err is the
-    quadrature error propagated to the linear scale; evaluations counts
-    integrand points.
+    difference of the rule's two levels on the linear scale; subdivisions
+    and evaluations both count integrand points.
     """
 
     n: int
@@ -81,70 +68,66 @@ class OracleResult:
     evaluations: int = 0
 
 
+@dataclass(frozen=True)
+class _Levels:
+    value: float        # step h
+    coarse: float       # step 2h
+    evaluations: int
+
+
 def _survival(m: CoupledModel, y: np.ndarray) -> np.ndarray:
     """H(g + (1 - g) y): the document survival at the channel quantile."""
     g = m.gbar_bound
     return m.doc.ccdf(m.channel.quantile_ccdf(g + (1.0 - g) * y))
 
 
-def _depth(m: CoupledModel, n: int) -> int:
-    """Lattice depth of n's seed: ceil(-6 log10(y0)), with y0 a quarter of
-    min(1/n, g) (of 1/n when g = 0), at most the lattice's last point."""
+def _nodes(m: CoupledModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in s and their weights, e^(-s) ds included, one row per piece."""
     g = m.gbar_bound
-    y0 = 0.25 * (min(1.0 / n, g) if g > 0.0 else 1.0 / n)
-    return min(math.ceil(-_EDGES_PER_DECADE * math.log10(max(y0, _LATTICE[-1]))),
-               len(_LATTICE) - 1)
-
-
-@functools.lru_cache(maxsize=_SEED_MEMO)
-def _seed(m: CoupledModel, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges in y from a lattice depth, and H at panel_nodes of their
-    panels, raveled; both arrays are read-only, shared by every call.
-
-    The edges are 0, then the lattice points from depth up to 1, plus the
-    kink of a log_power ell where it lies in (0, 1).
-    """
-    edges = np.concatenate(([0.0], _LATTICE[depth::-1]))
     if isinstance(m.ell, SlowVaryLogPower):
-        g = m.gbar_bound
-        # a bound below the kink puts it at w <= g, outside the interval
-        kink = (1.0 / m.ell.x_min - g) / (1.0 - g)
-        if kink > 0.0 and kink not in edges:
-            edges = np.insert(edges, np.searchsorted(edges, kink), kink)
-    _, ys = panel_nodes(edges[:-1], edges[1:])
-    h = _survival(m, ys.ravel())
-    edges.flags.writeable = h.flags.writeable = False
-    return edges, h
+        y_c = (1.0 / m.ell.x_min - g) / (1.0 - g)
+        if y_c > 0.0:
+            s_c = -n * math.log1p(-y_c)
+            ratio = _SIGMA / s_c
+            below = -s_c * np.expm1(-ratio)
+            return (np.stack([below, s_c + _SIGMA]),
+                    np.stack([_DSIGMA * np.exp(-below - ratio), _WEIGHTS * math.exp(-s_c)]))
+    return _SIGMA[None, :], _WEIGHTS[None, :]
+
+
+def _integrate(f: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
+               w: np.ndarray) -> _Levels:
+    """Both levels of sum(w f(s)), in one call of f over every node: all
+    nodes (step h), and every other node of each row, doubled (step 2h)."""
+    terms = w * f(s.ravel()).reshape(s.shape)
+    return _Levels(float(terms.sum()), 2.0 * float(terms[:, ::2].sum()), terms.size)
+
+
+# ccdf_exact calls the rule by this name; perfbench/spans.py patches it.
+integrate_adaptive = _integrate
 
 
 def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
-    """Exact P[N_b > n] for one n (n = 0 returns exactly 1), to REL_TOL
-    within MAX_PANELS panels."""
+    """Exact P[N_b > n] for one n (n = 0 returns exactly 1), to REL_TOL."""
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
     if n == 0:
         return OracleResult(0, 1.0, 0.0, 0, 0.0)
 
-    edges, seed_h = _seed(m, _depth(m, n))
-    # integrate_adaptive's first pass is over the seed nodes, in this order
-    pending = [seed_h]
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        h = pending.pop() if pending else _survival(m, y)
-        return np.exp((n - 1) * np.log1p(-y)) * h
-
-    try:
-        quad = integrate_adaptive(integrand, edges, rel_tol=REL_TOL, max_panels=MAX_PANELS)
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(f"n={n}: {exc}") from exc
-    if quad.value <= 0.0:
+    quad = integrate_adaptive(lambda s: _survival(m, -np.expm1(-s / n)), *_nodes(m, n))
+    if not quad.value > 0.0:
         raise QuadratureFailure(
-            f"n={n}: nonpositive integral {quad.value} after {quad.panels} panels "
-            f"and {quad.evaluations} evaluations")
-    log_value = math.log(n) + n * math.log1p(-m.gbar_bound) + math.log(quad.value)
+            f"n={n}: nonpositive integral {quad.value} over {quad.evaluations} nodes")
+    gap = abs(quad.value - quad.coarse)
+    if not gap <= REL_TOL * quad.value:
+        raise QuadratureFailure(
+            f"n={n}: levels h=1/32 ({quad.value!r}) and h=1/16 ({quad.coarse!r}) "
+            f"differ by {gap / quad.value:.3e} relative, above {REL_TOL:g}, "
+            f"over {quad.evaluations} nodes")
+    log_value = n * math.log1p(-m.gbar_bound) + math.log(quad.value)
     value = exp_or_zero(log_value)
-    est_abs_err = value * (quad.abs_err / quad.value)
-    return OracleResult(n, value, est_abs_err, quad.panels, log_value, quad.evaluations)
+    return OracleResult(n, value, value * (gap / quad.value), quad.evaluations,
+                        log_value, quad.evaluations)
 
 
 def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
@@ -166,8 +149,7 @@ def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
         if res.log_value > prev_log + 1e-9:
             raise QuadratureFailure(
                 f"oracle curve not monotone at n={n}: log {res.log_value} "
-                f"after {prev_log} ({res.subdivisions} panels, "
-                f"{res.evaluations} evaluations)")
+                f"after {prev_log} ({res.evaluations} nodes)")
         prev_log = res.log_value
         if stop_below is not None and res.value < stop_below and out:
             break

@@ -420,23 +420,20 @@ class TestRunAndEmit:
 
 
 
-def _spent(*args, **kwargs):
-    raise QuadratureFailure("budget spent")
-
-
 class TestOracleFailure:
-    """A failing oracle call names its case and n (stub integrator)."""
+    """A failing oracle call names its case and n (a negative REL_TOL, which
+    every level gap exceeds)."""
 
     def test_run_names_case_and_n(self, monkeypatch):
-        monkeypatch.setattr(oracle, "integrate_adaptive", _spent)
+        monkeypatch.setattr(oracle, "REL_TOL", -1.0)
         cfg = E.parse_config(minimal_config(curves=["oracle"]))
-        with pytest.raises(QuadratureFailure, match=r"^case b1: n=1: budget spent$"):
+        with pytest.raises(QuadratureFailure, match=r"^case b1: n=1: levels "):
             E.run_experiment(cfg)
 
     def test_oracle_verb_names_case_and_n(self, monkeypatch, capsys):
-        monkeypatch.setattr(oracle, "integrate_adaptive", _spent)
+        monkeypatch.setattr(oracle, "REL_TOL", -1.0)
         assert cli.main(["oracle", "--preset", "example1a", "--n", "74989"]) == 3
-        assert capsys.readouterr().err == "error: case b1: n=74989: budget spent\n"
+        assert capsys.readouterr().err.startswith("error: case b1: n=74989: levels ")
 
 
 def test_monte_carlo_failure_names_case(monkeypatch):

@@ -1,14 +1,13 @@
 """The benchmark's tracer (perfbench/spans.py) patches this package by name.
 
 Installing and uninstalling it here makes a rename or deletion of a
-traced name fail the test suite, not a traced benchmark run. The oracle's
-seed memo is checked against the benchmark's query traffic the same way.
+traced name fail the test suite, not a traced benchmark run.
 """
 
 import pytest
 
-from conftest import model_1a
-from retxdist import cli, experiment, oracle
+from conftest import model_1a, model_log_power
+from retxdist import cli, oracle
 
 
 def test_tracer_patches_and_restores_every_name(perfbench):
@@ -23,21 +22,23 @@ def test_tracer_patches_and_restores_every_name(perfbench):
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
 
 
-def test_oracle_call_records_its_quadrature(perfbench):
-    # the integrator is traced through the oracle module's attribute, and a
-    # curve calls ccdf_exact through it too; a call around either would
-    # leave --trace 1 without oracle or quadrature metrics
+@pytest.mark.parametrize("model", [model_1a(1.0), model_log_power(16.0)])
+def test_oracle_call_records_its_quadrature(perfbench, model):
+    # the rule is traced through the oracle module's attribute, and a curve
+    # calls ccdf_exact through it too; a call around either would leave
+    # --trace 1 without oracle or quadrature metrics. Both pieces of a
+    # log_power kink split go through one integrand call.
     grid = [1, 10, 100]
     tracer = perfbench("spans").Tracer()
     try:
         tracer.install()
-        oracle.ccdf_exact_curve(model_1a(1.0), grid)
+        oracle.ccdf_exact_curve(model, grid)
     finally:
         tracer.uninstall()
     recorded = [tracer.names[i] for i in tracer.name]
     assert recorded.count("oracle.ccdf_exact") == len(grid)
     assert recorded.count("quadrature.integrate") == len(grid)
-    assert "quadrature.integrand" in recorded
+    assert recorded.count("quadrature.integrand") == len(grid)
 
 
 @pytest.mark.parametrize("argv", [
@@ -56,16 +57,3 @@ def test_closed_forms_resolve_through_asym(perfbench, capsys, argv):
         tracer.uninstall()
     assert "asym.uniform_approx" in [tracer.names[i] for i in tracer.name]
 
-
-def test_seed_memo_holds_every_exact_query_seed(perfbench):
-    # exact-query cycles through the same (case, n) queries every round; a
-    # memo smaller than the seeds they reach would miss on every one of them
-    workloads = perfbench("workloads")
-    seeds = set()
-    for name in workloads.QUERY_PRESETS:
-        cfg = experiment.preset(name)
-        for label, channel, doc, bound in cfg.cases():
-            m = experiment.build_model(channel, doc, cfg.alpha, cfg.ell, bound)
-            seeds.update((name, label, oracle._depth(m, n))
-                         for n in range(workloads.QUERY_N_MIN, workloads.QUERY_N_MAX + 1))
-    assert len(seeds) <= oracle._seed.cache_parameters()["maxsize"]
