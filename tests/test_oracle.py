@@ -7,6 +7,7 @@ integer-index finite sum, mpmath references and Monte Carlo.
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import model_1a, model_3, model_4, model_log_power
@@ -227,6 +228,60 @@ class TestFixedRule:
                                                               r.est_abs_err)]
                                      + [str(r.subdivisions)]))
         assert rows == want
+
+
+class TestRule:
+    """The exp-sinh rule alone, on integrands with known integrals."""
+
+    def test_node_table(self):
+        assert len(oracle._SIGMA) == NODES
+        assert np.all(np.diff(oracle._SIGMA) > 0.0)
+        assert oracle._SIGMA[0] < 1e-18 and oracle._SIGMA[-1] < 800.0
+        assert np.all(oracle._WEIGHTS > 0.0)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0, 0.5, 2.5, 5.0])
+    def test_gamma_moments(self, a):
+        # int_0^inf s^a e^(-s) ds = Gamma(a + 1); s^(1/2) has a root at 0
+        quad = oracle._integrate(lambda s: s ** a, oracle._SIGMA[None, :],
+                                 oracle._WEIGHTS[None, :])
+        assert quad.evaluations == NODES
+        assert abs(quad.value / math.gamma(a + 1.0) - 1.0) <= 4 * EPS
+        assert abs(quad.coarse / math.gamma(a + 1.0) - 1.0) <= 1e-11
+
+    def test_coarse_level_is_the_half_step_rule(self):
+        # the even-k nodes, built afresh at h = 1/16, are the coarse level
+        t = np.arange(-64, 65) / 16.0
+        sigma = np.exp(0.5 * np.pi * np.sinh(t))
+        keep = sigma < 800.0
+        sigma = sigma[keep]
+        weights = np.pi / 32.0 * np.cosh(t[keep]) * sigma * np.exp(-sigma)
+        assert np.array_equal(sigma, oracle._SIGMA[::2])
+        quad = oracle._integrate(lambda s: 1.0 / (1.0 + s), oracle._SIGMA[None, :],
+                                 oracle._WEIGHTS[None, :])
+        assert quad.coarse == pytest.approx(float(np.sum(weights / (1.0 + sigma))),
+                                            rel=2 * EPS)
+
+    @pytest.mark.parametrize("n", [1, 24, 10**7])
+    def test_split_pieces_meet_at_the_kink(self, n):
+        # min(s, s_c) kinks where log_power's H does; each piece is smooth
+        m = model_log_power(16.0)
+        g = m.gbar_bound
+        s_c = -n * math.log1p(-(1.0 / m.ell.x_min - g) / (1.0 - g))
+        s, w = oracle._nodes(m, n)
+        assert s.shape == w.shape == (2, NODES)
+        assert np.all(np.diff(s, axis=1) >= 0.0) and np.all(w >= 0.0)
+        assert s[0].max() <= s_c <= s[1].min()
+        quad = oracle._integrate(lambda x: np.minimum(x, s_c), s, w)
+        assert quad.evaluations == 2 * NODES
+        want = -math.expm1(-s_c)
+        assert abs(quad.value / want - 1.0) <= 4 * EPS
+        assert abs(quad.coarse / want - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 10**3, 10**7, 10**12])
+    def test_unbounded_harmonic_to_rounding(self, exp_pair_unbounded, n):
+        # H(w) = w: the integrand is 1 - e^(-s/n) and P[N > n] = 1/(n + 1)
+        ref = -math.log1p(n)
+        assert abs(ccdf_exact(exp_pair_unbounded, n).log_value - ref) <= 2 * EPS * abs(ref)
 
 
 class TestCurves:
