@@ -14,9 +14,11 @@ from the channel law through the relation).
 
 Every law method takes an array (or a number) and returns the numpy
 result of one vectorized body; a 0-d input comes back as an np.float64.
-The gamma family evaluates through scipy.special, cross-checked against
-the in-house incomplete Gamma in the tests. sampling_quantile gives Monte
-Carlo a certified quantile table for bounded gamma documents.
+Every law inverts its survival at a log level (quantile_log_ccdf), and a
+bounded document draws through it at log q = log1p(-u F(bound)). The
+gamma family evaluates and inverts through scipy.special, cross-checked
+against the in-house incomplete Gamma in the tests. sampling_quantile
+gives Monte Carlo a certified quantile table for bounded gamma documents.
 
 Laws carry a family tag and slowly varying functions a kind tag, which
 the config format (experiment.py) maps with their dataclass fields. All
@@ -71,6 +73,8 @@ special = LazyModule(globals(), "special", "scipy.special")
 # Grid sizes fixed by the model-validation contracts.
 COUPLING_GRID_POINTS = 64
 DERIVED_GRID_POINTS = 256
+# The least positive double: the floor of every survival level a quantile takes.
+_Q_FLOOR = 5e-324
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ class Exponential:
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
         """x such that ccdf(x) = q, for q in (0, 1]."""
-        return np.log(_check_q(q)) / -self.rate
+        return self.quantile_log_ccdf(np.log(_check_q(q)))
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         """x such that log ccdf(x) = log_q, for log_q <= 0."""
@@ -130,7 +134,7 @@ class Weibull:
         return -np.expm1(self.log_ccdf(x))
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
-        return self.scale * np.power(-np.log(_check_q(q)), 1.0 / self.index)
+        return self.quantile_log_ccdf(np.log(_check_q(q)))
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         return self.scale * np.power(-np.asarray(log_q, dtype=float), 1.0 / self.index)
@@ -169,7 +173,7 @@ class Gamma:
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         """Survival quantile at exp(log_q), floored at the smallest subnormal."""
-        return self.quantile_ccdf(np.maximum(np.exp(log_q), 5e-324))
+        return self.quantile_ccdf(np.maximum(np.exp(log_q), _Q_FLOOR))
 
 
 def _check_q(q: ArrayLike) -> np.ndarray:
@@ -189,14 +193,6 @@ def _check_q(q: ArrayLike) -> np.ndarray:
 _GAMMA_TABLE_PANELS = 64
 _GAMMA_TABLE_MAX_PANELS = 1 << 14
 _GAMMA_TABLE_TOL = 1e-12
-
-
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[0], b[0], a[1], ..., b[-1], a[-1] for len(a) = len(b) + 1."""
-    out = np.empty(a.size + b.size)
-    out[0::2] = a
-    out[1::2] = b
-    return out
 
 
 def _certified_part(x_of_t, slope, t0: float, t1: float
@@ -222,7 +218,8 @@ def _certified_part(x_of_t, slope, t0: float, t1: float
         err = float(np.max(np.abs(approx - x_mid) / x_mid))
         if err <= _GAMMA_TABLE_TOL or n >= _GAMMA_TABLE_MAX_PANELS:
             return c, n, err
-        t, x, n = _interleave(t, t_mid), _interleave(x, x_mid), 2 * n
+        after = np.arange(1, n + 1)
+        t, x, n = np.insert(t, after, t_mid), np.insert(x, after, x_mid), 2 * n
 
 
 class _GammaQuantileTable:
@@ -485,16 +482,18 @@ class DerivedLaw:
         return np.exp(self.log_ccdf(x))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        return 1.0 - self.ccdf(x)
+        return -np.expm1(self.log_ccdf(x))
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
-        q = _check_q(q)
-        log_q = np.log(q)
+        return self.quantile_log_ccdf(np.log(_check_q(q)))
+
+    def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
+        log_q = np.asarray(log_q, dtype=float)
         if isinstance(self.ell, SlowVaryOne):
             s = log_q / self.alpha
         else:
-            s = self._solve_log_survival(log_q.ravel()).reshape(q.shape)
-        return np.where(q == 1.0, 0.0, self.channel.quantile_log_ccdf(s))[()]
+            s = self._solve_log_survival(log_q.ravel()).reshape(log_q.shape)
+        return self.channel.quantile_log_ccdf(s)
 
     def _solve_log_survival(self, log_q: np.ndarray) -> np.ndarray:
         """s <= 0 with h(s) = log_q, by bracketed Newton; 0 where log_q >= h(0).
@@ -606,11 +605,13 @@ class BoundedDoc:
     def quantile_from_uniform(self, u: ArrayLike) -> ArrayLike:
         """Inverse-transform map: u in (0, 1] to the truncated law.
 
-        Evaluates the base quantile at u * F(bound), expressed through the
-        survival quantile as quantile_ccdf(1 - u * F(bound)).
+        The base law's log-survival quantile at log1p(-u * F(bound)), which
+        keeps every digit of a small u, floored at log(5e-324) for the -inf
+        that an unbounded document gives at u = 1.
         """
-        q = 1.0 - np.asarray(u, dtype=float) * self.cdf_at_bound
-        return self.base.quantile_ccdf(np.maximum(q, 5e-324))
+        with np.errstate(divide="ignore"):
+            log_q = np.log1p(np.asarray(u, dtype=float) * -self.cdf_at_bound)
+        return self.base.quantile_log_ccdf(np.maximum(log_q, math.log(_Q_FLOOR)))
 
 
 def sampling_quantile(doc: BoundedDoc) -> Callable[[np.ndarray], np.ndarray]:

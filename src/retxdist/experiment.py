@@ -79,10 +79,6 @@ from .oracle import OracleResult, ccdf_exact, ccdf_exact_curve
 
 ENV_OUTDIR = "RETXDIST_OUTDIR"
 
-CSV_COLUMNS = ("n", "mc_ccdf", "mc_ci_lo", "mc_ci_hi", "oracle",
-               "uniform_approx", "power_law", "exp_tail", "exact_integer",
-               "log_body")
-
 
 class Source(Enum):
     """A curve a config can request.
@@ -99,6 +95,9 @@ class Source(Enum):
     EXACT_INTEGER = "exact_integer"
     LOG_BODY = "log_body"
 
+
+CSV_COLUMNS = ("n", "mc_ccdf", "mc_ci_lo", "mc_ci_hi",
+               *(s.value for s in Source if s is not Source.MONTE_CARLO))
 
 DEFAULT_SAMPLES = 10_000_000
 DEFAULT_CURVES = frozenset({Source.MONTE_CARLO, Source.ORACLE,

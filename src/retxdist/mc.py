@@ -229,7 +229,7 @@ class _Bins:
     """One grid's bin counts, added block by block.
 
     Counts are binned through lut[k] = searchsorted(grid, k) for k = 0..top,
-    built once; top is the grid's end plus one, capped at _TABLE_MAX.
+    built once as int32; top is the grid's end plus one, capped at _TABLE_MAX.
     Counts >= top are looked up at top, which is exact unless the grid runs
     past the table: there the counts above top go through searchsorted. So
     each bin equals searchsorted(grid, n, side="left") bit for bit.
@@ -242,7 +242,7 @@ class _Bins:
         end = int(self.grid[-1]) + 1 if self.grid.size else 0
         self.top = min(max(end, 0), _TABLE_MAX)
         self.far = end > self.top
-        self.lut = np.searchsorted(self.grid, np.arange(self.top + 1), side="left")
+        self.lut = np.searchsorted(self.grid, np.arange(self.top + 1)).astype(np.int32)
         self.bins = np.zeros(len(self.grid) + 1, dtype=np.int64)
 
     def add(self, n: np.ndarray) -> None:

@@ -201,6 +201,21 @@ class TestBoundedDoc:
         want = -np.expm1(-rate * (1.0 - xs)) * np.exp(-rate * xs) / -math.expm1(-rate)
         np.testing.assert_allclose(doc.ccdf(xs), want, rtol=1e-13, atol=1e-16)
 
+    @pytest.mark.parametrize("doc", [
+        BoundedDoc(Exponential(2.0), 1.0), BoundedDoc(Weibull(2.0, 1.0), 8.0),
+        derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0).doc],
+        ids=["exponential", "weibull", "derived_log_power"])
+    def test_small_uniforms_keep_their_digits(self, doc):
+        # through q = 1 - u F(b), x would be about eps / (u F(b)) relative off
+        mpmath = pytest.importorskip("mpmath")
+        us = 10.0 ** np.arange(-12.0, -3.0, 2.0)
+        with mpmath.workdps(40):
+            want = np.array([float(_mp_quantile_log_ccdf(
+                mpmath, doc.base, mpmath.log1p(-mpmath.mpf(u) * doc.cdf_at_bound)))
+                for u in us])
+        got = doc.quantile_from_uniform(us)
+        assert np.max(np.abs(got / want - 1.0)) <= 4 * np.finfo(float).eps
+
     def test_degenerate_truncation(self):
         with pytest.raises(DegenerateTruncation):
             BoundedDoc(Exponential(1.0), 1e-301)
@@ -338,6 +353,25 @@ class TestCouplingMode:
             validate_coupling(m)
 
 
+def _mp_quantile_log_ccdf(mpmath, law, log_q):
+    """x with log ccdf(x) = log_q for an exponential, Weibull or derived
+    law of a log_power ell, in mpmath; the derived root by findroot."""
+    if isinstance(law, Exponential):
+        return -log_q / law.rate
+    if isinstance(law, Weibull):
+        return law.scale * (-log_q) ** (mpmath.mpf(1) / law.index)
+    ell = law.ell
+    # the clamp level as the law takes it, log(x_min) in double: 1 for x_min
+    # = e, where the exact log of the double e is 1 - 5e-17
+    floor = mpmath.mpf(math.log(ell.x_min))
+
+    def h(s):
+        return law.alpha * s - mpmath.log(ell.coeff * max(-s, floor) ** ell.exponent)
+
+    s = mpmath.findroot(lambda s: h(s) - log_q, log_q / law.alpha)
+    return _mp_quantile_log_ccdf(mpmath, law.channel, s)
+
+
 class TestDerivedLaw:
     def test_identity_coupling(self):
         m = derive_doc_law(Exponential(1.0), 1.0, SlowVaryOne(), math.inf)
@@ -352,6 +386,16 @@ class TestDerivedLaw:
         xs = np.linspace(0.0, 4.0, 64)
         assert np.max(np.abs(np.asarray(m.doc.base.ccdf(xs))
                              - np.exp(-2.0 * xs))) <= 1e-12
+
+    @pytest.mark.parametrize("bound", [1e-3, 1e-2])
+    def test_power_coupling_bounded_doc_is_exponential(self, bound):
+        # F(b) <= 1/2, so the truncated ccdf is built from the cdf, which must
+        # not cancel as 1 - ccdf does
+        derived = derive_doc_law(Exponential(1.0), 2.0, SlowVaryOne(), bound).doc
+        exact = BoundedDoc(Exponential(2.0), bound)
+        assert derived.cdf_at_bound == exact.cdf_at_bound
+        xs = np.linspace(0.0, bound, 1001)[1:-1]
+        np.testing.assert_array_equal(derived.ccdf(xs), exact.ccdf(xs))
 
     def test_gamma_tail_reconstruction(self):
         m = derive_doc_law(Exponential(2.0), 1.0,
@@ -461,8 +505,7 @@ class TestDerivedQuantile:
             assert np.all(law.quantile_ccdf(np.array([1.0, 0.5]))[:1] == 0.0)
         # ell(1) = 1 - 1e-12 puts h(0) 1e-12 above 0, out of the residual
         # tolerance: only the log q < 0 guard keeps log q = 0 out of Newton,
-        # whose root there is s = -1e-12 / alpha (quantile_ccdf masks q = 1
-        # anyway, so the solver is asked directly)
+        # whose root there is s = -1e-12 / alpha
         law = derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0 - 1e-12, 1.0),
                              16.0).doc.base
         s = law._solve_log_survival(np.array([0.0, -0.5]))
@@ -628,11 +671,9 @@ def _methods(obj):
         if hasattr(obj, "log_slope"):
             out.append(("log_slope", obj.log_slope, LOG_YS))
         return out
-    out = [("ccdf", obj.ccdf, XS), ("log_ccdf", obj.log_ccdf, XS),
-           ("cdf", obj.cdf, XS), ("quantile_ccdf", obj.quantile_ccdf, QS)]
-    if hasattr(obj, "quantile_log_ccdf"):
-        out.append(("quantile_log_ccdf", obj.quantile_log_ccdf, LOG_QS))
-    return out
+    return [("ccdf", obj.ccdf, XS), ("log_ccdf", obj.log_ccdf, XS),
+            ("cdf", obj.cdf, XS), ("quantile_ccdf", obj.quantile_ccdf, QS),
+            ("quantile_log_ccdf", obj.quantile_log_ccdf, LOG_QS)]
 
 
 ONE_PATH_OBJECTS = (
@@ -658,3 +699,9 @@ class TestOnePath:
             array = np.concatenate([method(np.array([v])) for v in points])
             np.testing.assert_array_equal(np.array(scalar), array, err_msg=name)
 
+    @pytest.mark.parametrize("law", [Exponential(2.0), Weibull(0.5, 16.0),
+                                     Weibull(2.0, 2.0)] + DERIVED_LAWS,
+                             ids=lambda o: repr(o)[:60])
+    def test_quantile_ccdf_is_quantile_log_ccdf_at_log_q(self, law):
+        got = law.quantile_ccdf(QS)
+        assert got.tobytes() == law.quantile_log_ccdf(np.log(QS)).tobytes()
