@@ -17,8 +17,9 @@ result of one vectorized body; a 0-d input comes back as an np.float64.
 Every law inverts its survival at a log level (quantile_log_ccdf), and a
 bounded document draws through it at log q = log1p(-u F(bound)). The
 gamma family evaluates and inverts through scipy.special, cross-checked
-against the in-house incomplete Gamma in the tests. sampling_quantile
-gives Monte Carlo a certified quantile table for bounded gamma documents.
+against the in-house incomplete Gamma in the tests. sampling_quantiles
+gives Monte Carlo one certified quantile table per gamma law, which every
+bounded document of that law draws through.
 
 Laws carry a family tag and slowly varying functions a kind tag, which
 the config format (experiment.py) maps with their dataclass fields. All
@@ -27,12 +28,13 @@ classes are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -172,8 +174,16 @@ class Gamma:
         return special.gammainccinv(self.shape, _check_q(q)) / self.rate
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
-        """Survival quantile at exp(log_q), floored at the smallest subnormal."""
-        return self.quantile_ccdf(np.maximum(np.exp(log_q), _Q_FLOOR))
+        """x with log Q(shape, rate*x) = log_q: gammaincinv at p = -expm1(log_q)
+        where log_q > log 1/2, which keeps every digit of a small p, and
+        gammainccinv at exp(log_q), floored at the smallest subnormal, below."""
+        log_q = np.asarray(log_q, dtype=float)
+        lower = log_q > -math.log(2.0)
+        x = np.empty_like(log_q)
+        x[lower] = special.gammaincinv(self.shape, -np.expm1(log_q[lower]))
+        q = np.maximum(np.exp(log_q[~lower]), _Q_FLOOR)
+        x[~lower] = special.gammainccinv(self.shape, q)
+        return x / self.rate
 
 
 def _check_q(q: ArrayLike) -> np.ndarray:
@@ -186,9 +196,9 @@ def _check_q(q: ArrayLike) -> np.ndarray:
     return q
 
 
-# Certified quantile table of a bounded gamma document. Each part starts
-# with _GAMMA_TABLE_PANELS panels and doubles them until every panel
-# midpoint is within _GAMMA_TABLE_TOL relative of the reference inversion;
+# Certified quantile table of a gamma law. Each part starts with
+# _GAMMA_TABLE_PANELS panels and doubles them until every panel midpoint is
+# within _GAMMA_TABLE_TOL relative of the reference inversion; a table with
 # a part that still misses at _GAMMA_TABLE_MAX_PANELS is not used.
 _GAMMA_TABLE_PANELS = 64
 _GAMMA_TABLE_MAX_PANELS = 1 << 14
@@ -223,52 +233,69 @@ def _certified_part(x_of_t, slope, t0: float, t1: float
 
 
 class _GammaQuantileTable:
-    """Quantile of a gamma law truncated to [0, bound], as a certified table.
+    """Quantile of a gamma law truncated to a bound, as a certified table
+    of the law.
 
     A uniform u in (0, 1] maps to the lower-tail probability p = u F(b) and
     the upper-tail probability q = (1 - u) F(b) + Fbar(b), which is 1 - p
     without its cancellation. Two uniform cubic-Hermite tables cover the
-    range: x over t = p^(1/shape) for p <= 1/2, where x is smooth in t as
-    p -> 0, and x over t = -log q above, smooth up to the bound. Each node
-    holds x from scipy's gammaincinv (lower part) or gammainccinv (upper
-    part) and the exact slope dx/dt from the gamma density. build returns
-    None unless every panel midpoint of both parts is within
-    _GAMMA_TABLE_TOL relative of the same reference.
+    law, whatever the bound. Below p = 1/2 the lower part holds the ratio
+    z = x / t over t = p^(1/shape): z tends to Gamma(shape + 1)^(1/shape) /
+    rate as p -> 0, so its relative error is that of x down to x = 0. Above,
+    the upper part holds x over t = -log q, from log 2 up to the largest
+    -log Fbar(b) of the documents the table is built for. Each node holds x
+    from scipy's gammaincinv (lower part) or gammainccinv (upper part) and
+    the exact slope from the gamma density. build returns None unless every
+    panel midpoint of both parts is within _GAMMA_TABLE_TOL relative of the
+    same reference.
 
-    Calls take a 1-d array of uniforms and evaluate it in one pass; Monte
-    Carlo hands it one block at a time, which keeps its temporaries in cache.
+    The bound enters only through F(b) and Fbar(b), which for_doc sets on a
+    copy that shares the panels. Lower panel i stores x = (i + f) z(f) /
+    lo_scale as one quartic in the panel fraction f, and each upper panel
+    its cubic with a zero fifth coefficient, so a call is one Horner pass
+    over one fractional panel index. Calls take a 1-d array of uniforms;
+    Monte Carlo hands them one block at a time, which keeps the
+    temporaries in cache.
     """
 
-    def __init__(self, doc: "BoundedDoc", t_lo: float, t_hi: float, parts: list) -> None:
-        self.doc = doc
-        self.inv_shape = 1.0 / doc.base.shape
+    def __init__(self, law: Gamma, t_hi: Optional[float], parts: list) -> None:
+        self.inv_shape = 1.0 / law.shape
         self.panels = tuple(n for _, n, _ in parts)
         self.max_error = max(err for _, _, err in parts)
-        self.coeffs = np.concatenate([c for c, _, _ in parts])
-        self.last = len(self.coeffs) - 1
         # Fractional panel index: t * lo_scale in the lower part, and
         # -log(q) * hi_scale + hi_offset = n_lo + (t - log 2) * hi_scale above.
-        self.lo_scale = self.panels[0] / t_lo
+        self.lo_scale = self.panels[0] / 0.5 ** self.inv_shape
         self.hi_scale = self.hi_offset = 0.0
+        # x = t z = (i + f) (c0 + f (c1 + f (c2 + f c3))) / lo_scale on lower panel i
+        c = parts[0][0] / self.lo_scale
+        zero = np.zeros((len(c), 1))
+        rows = [np.arange(len(c))[:, None] * np.hstack([c, zero]) + np.hstack([zero, c])]
         if len(parts) > 1:
             self.hi_scale = self.panels[1] / (t_hi - math.log(2.0))
             self.hi_offset = self.panels[0] - math.log(2.0) * self.hi_scale
+            rows.append(np.hstack([parts[1][0], np.zeros((self.panels[1], 1))]))
+        self.coeffs = np.concatenate(rows)
+        self.last = len(self.coeffs) - 1
+        self.cdf_at_bound = self.ccdf_at_bound = math.nan
 
     @classmethod
-    def build(cls, doc: "BoundedDoc") -> Optional["_GammaQuantileTable"]:
-        """The certified table of a bounded Gamma document, or None (logged
-        at DEBUG) where there is none."""
-        k, rate = doc.base.shape, doc.base.rate
+    def build(cls, law: Gamma, docs: Sequence["BoundedDoc"]
+              ) -> Optional["_GammaQuantileTable"]:
+        """The certified table of law for its bounded documents docs, each
+        with Fbar(bound) > 0, or None (logged at DEBUG) where there is none."""
+        k, rate = law.shape, law.rate
         log_gamma_k, log_gamma_k1 = math.lgamma(k), math.lgamma(k + 1.0)
+        z0 = math.exp(log_gamma_k1 / k) / rate
 
-        def lower_x(t):
-            return special.gammaincinv(k, np.power(t, k)) / rate
+        def lower_z(t):
+            x = special.gammaincinv(k, np.power(t, k)) / rate
+            return np.where(t == 0.0, z0, x / t)
 
-        def lower_slope(t, x):
-            # dx/dt = k t^(k-1) / f(x) = Gamma(k+1) e^y (t/y)^(k-1) / rate, y = rate x
-            y = rate * x
-            d = np.exp(log_gamma_k1 + y + (k - 1.0) * np.log(t / y)) / rate
-            return np.where(t == 0.0, math.exp(log_gamma_k1 / k) / rate, d)
+        def lower_slope(t, z):
+            # dz/dt = (dx/dt - z) / t with dx/dt = Gamma(k+1) e^y (rate z)^(1-k) / rate,
+            # y = rate x = rate t z; z0^2 rate / (k + 1) at t = 0
+            dx = np.exp(log_gamma_k1 + rate * t * z + (1.0 - k) * np.log(rate * z)) / rate
+            return np.where(t == 0.0, z0 * z0 * rate / (k + 1.0), (dx - z) / t)
 
         def upper_x(t):
             return special.gammainccinv(k, np.exp(-t)) / rate
@@ -278,33 +305,35 @@ class _GammaQuantileTable:
             y = rate * x
             return np.exp(log_gamma_k + y - t - (k - 1.0) * np.log(y)) / rate
 
-        if not doc.ccdf_at_bound > 0.0:
-            _log.debug("gamma quantile table: bound %g, 0 panels: Fbar(bound) = 0 "
-                       "leaves -log q unbounded; using the exact quantile", doc.bound)
-            return None
-        t_lo = min(doc.cdf_at_bound, 0.5) ** (1.0 / k)
-        t_hi = -math.log(doc.ccdf_at_bound)
+        t_hi = max((-math.log(d.ccdf_at_bound) for d in docs if d.cdf_at_bound > 0.5),
+                   default=None)
         with np.errstate(all="ignore"):
-            parts = [_certified_part(lower_x, lower_slope, 0.0, t_lo)]
-            if doc.cdf_at_bound > 0.5:
+            parts = [_certified_part(lower_z, lower_slope, 0.0, 0.5 ** (1.0 / k))]
+            if t_hi is not None:
                 parts.append(_certified_part(upper_x, upper_slope, math.log(2.0), t_hi))
-        table = cls(doc, t_lo, t_hi, parts)
+        table = cls(law, t_hi, parts)
         if not table.max_error <= _GAMMA_TABLE_TOL:
-            _log.debug("gamma quantile table: bound %g, %s panels, midpoint error "
-                       "%.3g above %g; using the exact quantile",
-                       doc.bound, "+".join(map(str, table.panels)), table.max_error,
-                       _GAMMA_TABLE_TOL)
+            _log.debug("gamma quantile table: %s up to bound %g, %s panels, midpoint "
+                       "error %.3g above %g; using the exact quantile",
+                       law, max(d.bound for d in docs), "+".join(map(str, table.panels)),
+                       table.max_error, _GAMMA_TABLE_TOL)
             return None
         return table
 
+    def for_doc(self, doc: "BoundedDoc") -> "_GammaQuantileTable":
+        """This table drawing doc's sizes: a copy that shares the panels."""
+        table = copy.copy(self)
+        table.cdf_at_bound, table.ccdf_at_bound = doc.cdf_at_bound, doc.ccdf_at_bound
+        return table
+
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        p = u * self.doc.cdf_at_bound
+        p = u * self.cdf_at_bound
         upper = p > 0.5
         pos = np.power(p, self.inv_shape, out=p)
         pos *= self.lo_scale
         q = 1.0 - u
-        q *= self.doc.cdf_at_bound
-        q += self.doc.ccdf_at_bound
+        q *= self.cdf_at_bound
+        q += self.ccdf_at_bound
         np.log(q, out=q)
         q *= -self.hi_scale
         q += self.hi_offset
@@ -313,11 +342,10 @@ class _GammaQuantileTable:
         np.minimum(idx, self.last, out=idx)
         pos -= idx
         c = np.take(self.coeffs, idx, axis=0)
-        x = c[:, 3] * pos
-        x += c[:, 2]
-        x *= pos
-        x += c[:, 1]
-        x *= pos
+        x = c[:, 4] * pos
+        for j in (3, 2, 1):
+            x += c[:, j]
+            x *= pos
         x += c[:, 0]
         return x
 
@@ -614,19 +642,34 @@ class BoundedDoc:
         return self.base.quantile_log_ccdf(np.maximum(log_q, math.log(_Q_FLOOR)))
 
 
-def sampling_quantile(doc: BoundedDoc) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from a 1-d array of uniforms to document sizes that Monte
-    Carlo draws through.
+def sampling_quantiles(docs: Sequence[BoundedDoc]
+                       ) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """Per document, the map from a 1-d array of uniforms to sizes that
+    Monte Carlo draws through.
 
-    A bounded Gamma document gets a certified _GammaQuantileTable (built
-    anew on each call, in about 10 ms); every other document, and a gamma
-    document whose table does not certify, gets doc.quantile_from_uniform.
+    The bounded Gamma documents of one base law share one certified
+    _GammaQuantileTable, built here for them all (about 5 ms for example4's
+    three bounds) and kept by nothing else. Every other document, a gamma
+    document with Fbar(bound) = 0 (an unbounded one among them), and the
+    documents of a law whose table does not certify get
+    doc.quantile_from_uniform.
     """
-    if isinstance(doc.base, Gamma):
-        table = _GammaQuantileTable.build(doc)
+    out = [doc.quantile_from_uniform for doc in docs]
+    by_law: dict[Gamma, list[int]] = {}
+    for i, doc in enumerate(docs):
+        if not isinstance(doc.base, Gamma):
+            continue
+        if doc.ccdf_at_bound > 0.0:
+            by_law.setdefault(doc.base, []).append(i)
+        else:
+            _log.debug("gamma quantile table: bound %g: Fbar(bound) = 0 leaves -log q "
+                       "unbounded; using the exact quantile", doc.bound)
+    for law, members in by_law.items():
+        table = _GammaQuantileTable.build(law, [docs[i] for i in members])
         if table is not None:
-            return table
-    return doc.quantile_from_uniform
+            for i in members:
+                out[i] = table.for_doc(docs[i])
+    return out
 
 
 class CouplingMode(Enum):

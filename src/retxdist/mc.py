@@ -22,8 +22,14 @@ run_tallies tallies every case of a run in one pass over the stream:
 each block is drawn once, and every case maps the same uniforms through
 its own document quantile and channel survival function, counts, and
 bins the counts into its own tally at once. So the cases share their
-draws (common random numbers), and each case's tally equals the one a
-pass of its own would give; run_tally is the pass over a single case.
+draws (common random numbers); run_tally is the pass over a single case.
+Each case's tally equals the one a pass of its own would give, with one
+caveat. The bounded gamma documents of one law share one certified
+quantile table, built once per pass (once in each of its processes) for
+all their bounds and kept by nothing between passes. A case's draws
+through it and through a lone pass's table agree to the tables' 1e-12,
+so the two tallies can differ only where a draw lies that close to a
+count boundary.
 The pass splits into spans of whole blocks, each run in a process of one
 pool and advanced to its first block, so its output depends on the seed
 alone, not on how many processes drew it. A tally bins a block's counts
@@ -44,7 +50,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dists import CoupledModel, LazyModule, sampling_quantile
+from .dists import CoupledModel, LazyModule, sampling_quantiles
 from .errors import InvalidParameter, RetxError
 
 # scipy.special, imported at wilson_interval's first call
@@ -192,14 +198,13 @@ def _count_blocks(models: Sequence[CoupledModel], gen: np.random.Generator,
     samples, the models in order within a block.
 
     The one block loop: each block is drawn once, and every model's
-    documents come from one sampling_quantile of its doc. A RetxError
-    raised for a model carries its index as case_index.
+    documents come from its doc's map in one sampling_quantiles call, which
+    builds one certified table per distinct gamma base law of the pass. A
+    RetxError raised for a model carries its index as case_index.
     """
     i = 0
     try:
-        quantiles = []
-        for i, m in enumerate(models):
-            quantiles.append(sampling_quantile(m.doc))
+        quantiles = sampling_quantiles([m.doc for m in models])
         u_buf, log_buf = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
         for done in range(0, size, _BLOCK):
             k = min(_BLOCK, size - done)
@@ -218,7 +223,7 @@ def sample_N_batch(m: CoupledModel, rng: RandomStream, size: int) -> np.ndarray:
     and then all its geometric draws, so it is fully deterministic for a
     given stream. A quota of k whole blocks is a prefix
     of any longer quota on the same stream. Documents are drawn through
-    sampling_quantile.
+    sampling_quantiles.
     """
     if size < 1:
         raise InvalidParameter(f"size must be >= 1, got {size}")
@@ -280,13 +285,14 @@ def run_tallies(cases: Sequence[tuple[CoupledModel, Sequence[int]]], samples: in
     """Per (model, grid) case, the exceedance tally over the grid of samples
     draws from the seed's stream, all cases in one pass over it.
 
-    Every case reads the same draws, and its tally equals run_tally's.
-    workers is a process count only: the result depends on the seed alone.
-    The stream's blocks split into at most min(workers, CPUs) spans of whole
-    blocks, the last taking the partial block; each span runs every case in
-    a process of one pool from its first block, and the spans' tallies add
-    exactly. A RetxError raised by a case's model carries its position in
-    cases as case_index.
+    Every case reads the same draws, and its tally equals run_tally's
+    (for gamma documents, up to the shared table's caveat in the module
+    docstring). workers is a process count only: the result depends on
+    the seed alone. The stream's blocks split into at most min(workers,
+    CPUs) spans of whole blocks, the last taking the partial block; each
+    span runs every case in a process of one pool from its first block, and
+    the spans' tallies add exactly. A RetxError raised by a case's model
+    carries its position in cases as case_index.
     """
     if samples < 1:
         raise InvalidParameter(f"samples must be >= 1, got {samples}")

@@ -27,7 +27,7 @@ from retxdist.dists import (
     SlowVaryOne,
     Weibull,
     derive_doc_law,
-    sampling_quantile,
+    sampling_quantiles,
     validate_coupling,
 )
 from retxdist.errors import (
@@ -201,11 +201,14 @@ class TestBoundedDoc:
         want = -np.expm1(-rate * (1.0 - xs)) * np.exp(-rate * xs) / -math.expm1(-rate)
         np.testing.assert_allclose(doc.ccdf(xs), want, rtol=1e-13, atol=1e-16)
 
-    @pytest.mark.parametrize("doc", [
-        BoundedDoc(Exponential(2.0), 1.0), BoundedDoc(Weibull(2.0, 1.0), 8.0),
-        derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0).doc],
-        ids=["exponential", "weibull", "derived_log_power"])
-    def test_small_uniforms_keep_their_digits(self, doc):
+    @pytest.mark.parametrize("doc, ulps", [
+        (BoundedDoc(Exponential(2.0), 1.0), 4), (BoundedDoc(Weibull(2.0, 1.0), 8.0), 4),
+        (derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0).doc, 4),
+        # scipy's P(1/2, y) is up to 8 eps off at these y, and x ~ p^2 doubles
+        # that in gammaincinv's root: 17 eps measured
+        (BoundedDoc(Gamma(1.0, 0.5), 0.3), 24), (BoundedDoc(Gamma(2.0, 2.0), math.inf), 4)],
+        ids=["exponential", "weibull", "derived_log_power", "gamma_half", "gamma_two"])
+    def test_small_uniforms_keep_their_digits(self, doc, ulps):
         # through q = 1 - u F(b), x would be about eps / (u F(b)) relative off
         mpmath = pytest.importorskip("mpmath")
         us = 10.0 ** np.arange(-12.0, -3.0, 2.0)
@@ -214,7 +217,7 @@ class TestBoundedDoc:
                 mpmath, doc.base, mpmath.log1p(-mpmath.mpf(u) * doc.cdf_at_bound)))
                 for u in us])
         got = doc.quantile_from_uniform(us)
-        assert np.max(np.abs(got / want - 1.0)) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(got / want - 1.0)) <= ulps * np.finfo(float).eps
 
     def test_degenerate_truncation(self):
         with pytest.raises(DegenerateTruncation):
@@ -354,12 +357,27 @@ class TestCouplingMode:
 
 
 def _mp_quantile_log_ccdf(mpmath, law, log_q):
-    """x with log ccdf(x) = log_q for an exponential, Weibull or derived
-    law of a log_power ell, in mpmath; the derived root by findroot."""
+    """x with log ccdf(x) = log_q for an exponential, Weibull or gamma law,
+    or a derived law of a log_power ell, in mpmath; the gamma and derived
+    roots by findroot."""
     if isinstance(law, Exponential):
         return -log_q / law.rate
     if isinstance(law, Weibull):
         return law.scale * (-log_q) ** (mpmath.mpf(1) / law.index)
+    if isinstance(law, Gamma):
+        # the root in v = log(rate x), started from scipy's: of log P = log p
+        # where q > 1/2, else of log Q = log q
+        lower = log_q > -mpmath.log(2)
+        target = mpmath.log(-mpmath.expm1(log_q)) if lower else log_q
+
+        def level(v):
+            y = mpmath.exp(v)
+            if lower:
+                return mpmath.log(mpmath.gammainc(law.shape, 0, y, regularized=True))
+            return mpmath.log(mpmath.gammainc(law.shape, y, mpmath.inf, regularized=True))
+
+        start = mpmath.log(law.rate * float(law.quantile_log_ccdf(float(log_q))))
+        return mpmath.exp(mpmath.findroot(lambda v: level(v) - target, start)) / law.rate
     ell = law.ell
     # the clamp level as the law takes it, log(x_min) in double: 1 for x_min
     # = e, where the exact log of the double e is 1 - 5e-17
@@ -572,19 +590,31 @@ def _gamma_reference(law, doc, u):
                     special.gammainccinv(law.shape, q)) / law.rate
 
 
-def _panel_midpoint_uniforms(law, doc, table):
-    """Uniforms whose table coordinate t is the midpoint of every panel."""
-    fbar_b = float(law.ccdf(doc.bound))
-    t_lo = min(doc.cdf_at_bound, 0.5) ** (1.0 / law.shape)
+def _sampling_quantile(doc):
+    """doc's Monte Carlo quantile when it is the only document of its pass."""
+    (quantile,) = sampling_quantiles([doc])
+    return quantile
+
+
+def _panel_midpoint_uniforms(law, doc, table, t_hi):
+    """Uniforms of doc whose table coordinate t is the midpoint of a panel,
+    for every panel that doc reaches; t_hi is where the table's upper part
+    ends."""
     n_lo = table.panels[0]
-    t = (np.arange(n_lo) + 0.5) * (t_lo / n_lo)
+    t = (np.arange(n_lo) + 0.5) * (0.5 ** (1.0 / law.shape) / n_lo)
     out = [np.power(t, law.shape) / doc.cdf_at_bound]
     if len(table.panels) > 1:
         n_hi = table.panels[1]
-        t0, t1 = math.log(2.0), -math.log(fbar_b)
-        t = t0 + (np.arange(n_hi) + 0.5) * ((t1 - t0) / n_hi)
-        out.append(1.0 - (np.exp(-t) - fbar_b) / doc.cdf_at_bound)
-    return np.concatenate(out)
+        t0 = math.log(2.0)
+        t = t0 + (np.arange(n_hi) + 0.5) * ((t_hi - t0) / n_hi)
+        out.append(1.0 - (np.exp(-t) - doc.ccdf_at_bound) / doc.cdf_at_bound)
+    u = np.concatenate(out)
+    return u[u <= 1.0]
+
+
+def _max_rel_error(law, doc, quantile, u):
+    ref = _gamma_reference(law, doc, u)
+    return float(np.max(np.abs(quantile(u) - ref) / ref))
 
 
 class TestGammaQuantileTable:
@@ -592,18 +622,38 @@ class TestGammaQuantileTable:
     def test_midpoints_certified(self, rate, shape, bound):
         law = Gamma(rate, shape)
         doc = BoundedDoc(law, bound)
-        table = sampling_quantile(doc)
+        table = _sampling_quantile(doc)
         assert isinstance(table, dists._GammaQuantileTable)
         assert len(table.panels) == (1 if doc.cdf_at_bound <= 0.5 else 2)
         assert table.max_error <= 1e-12
-        u = _panel_midpoint_uniforms(law, doc, table)
-        ref = _gamma_reference(law, doc, u)
-        assert np.max(np.abs(table(u) - ref) / ref) <= 1e-12
+        u = _panel_midpoint_uniforms(law, doc, table, -math.log(doc.ccdf_at_bound))
+        assert _max_rel_error(law, doc, table, u) <= 1e-12
         # between midpoints the cubic's error is smaller, up to how much its
         # fourth derivative changes across a panel
         u = RandomStream(61).uniforms(20_000)
-        ref = _gamma_reference(law, doc, u)
-        assert np.max(np.abs(table(u) - ref) / ref) <= 2e-12
+        assert _max_rel_error(law, doc, table, u) <= 2e-12
+
+    @pytest.mark.parametrize("law", sorted({Gamma(r, k) for r, k, _ in GAMMA_TABLE_CASES},
+                                           key=repr), ids=repr)
+    def test_documents_of_one_law_share_one_table(self, law):
+        # one table serves every bound of the pass, each through its own
+        # F(b) and Fbar(b), and is certified at the midpoints each one reaches
+        docs = [BoundedDoc(law, b) for r, k, b in GAMMA_TABLE_CASES
+                if Gamma(r, k) == law]
+        tables = sampling_quantiles(docs)
+        assert all(t.coeffs is tables[0].coeffs for t in tables)
+        t_hi = max(-math.log(d.ccdf_at_bound) for d in docs if d.cdf_at_bound > 0.5)
+        for doc, table in zip(docs, tables):
+            u = _panel_midpoint_uniforms(law, doc, table, t_hi)
+            assert _max_rel_error(law, doc, table, u) <= 1e-12
+            u = RandomStream(63).uniforms(20_000)
+            assert _max_rel_error(law, doc, table, u) <= 2e-12
+
+    def test_lower_part_needs_few_panels(self):
+        # certified in ratio form, z = x / t keeps its relative error uniform
+        # down to x = 0; a cubic in x itself needs 4096 panels here
+        table = _sampling_quantile(BoundedDoc(Gamma(2.0, 2.0), 3.0))
+        assert table.panels[0] <= 1024
 
     def test_deep_bound_case_is_deep(self):
         for law, bound in ((Gamma(1.0, 0.5), 26.0), (Gamma(1.0, 2.0), 32.0),
@@ -615,39 +665,40 @@ class TestGammaQuantileTable:
     def test_draws_follow_the_law(self, rate, shape, bound):
         doc = BoundedDoc(Gamma(rate, shape), bound)
         u = RandomStream(62).uniforms(200_000)
-        xs = sampling_quantile(doc)(u)
+        xs = _sampling_quantile(doc)(u)
         assert np.all((xs >= 0.0) & (xs <= bound * (1.0 + 1e-12)))
         d = ks_statistic_uniform(np.asarray(doc.cdf(xs)))
         assert d < 1.63 / math.sqrt(len(xs))
+        # the exact path keeps a small p's digits too, so the two agree to
+        # the table's own bound
         exact = doc.quantile_from_uniform(u)
-        # the exact path's q = 1 - u F(b) cancels near x = 0: ~1e-10 there
-        assert np.max(np.abs(xs - exact) / exact) <= 1e-9
+        assert np.max(np.abs(xs - exact) / exact) <= 2e-12
 
     def test_infinite_bound_falls_back(self, caplog):
         doc = BoundedDoc(Gamma(2.0, 2.0), math.inf)
         with caplog.at_level(logging.DEBUG, logger="retxdist"):
-            assert sampling_quantile(doc) == doc.quantile_from_uniform
+            assert _sampling_quantile(doc) == doc.quantile_from_uniform
         assert "bound inf" in caplog.text and "exact quantile" in caplog.text
 
     def test_uncertified_table_falls_back(self, monkeypatch, caplog):
         monkeypatch.setattr(dists, "_GAMMA_TABLE_MAX_PANELS", dists._GAMMA_TABLE_PANELS)
-        doc = BoundedDoc(Gamma(2.0, 2.0), 3.0)
+        docs = [BoundedDoc(Gamma(2.0, 2.0), b) for b in (3.0, 2.0)]
         with caplog.at_level(logging.DEBUG, logger="retxdist"):
-            assert sampling_quantile(doc) == doc.quantile_from_uniform
+            assert sampling_quantiles(docs) == [d.quantile_from_uniform for d in docs]
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
-        assert "bound 3" in record.message and "64+64 panels" in record.message
+        assert "Gamma(rate=2.0, shape=2.0) up to bound 3, 64+64 panels" in record.message
         assert "midpoint error" in record.message
 
     def test_silent_by_default(self, capsys):
         doc = BoundedDoc(Gamma(2.0, 2.0), math.inf)
-        sampling_quantile(doc)
+        _sampling_quantile(doc)
         assert capsys.readouterr() == ("", "")
 
     def test_other_laws_take_the_exact_path(self):
-        for base in (Exponential(2.0), Weibull(0.5, 16.0)):
-            doc = BoundedDoc(base, 3.0)
-            assert sampling_quantile(doc) == doc.quantile_from_uniform
+        docs = [BoundedDoc(Exponential(2.0), 3.0), BoundedDoc(Weibull(0.5, 16.0), 3.0),
+                BoundedDoc(Gamma(2.0, 2.0), math.inf)]
+        assert sampling_quantiles(docs) == [d.quantile_from_uniform for d in docs]
 
 DERIVED_LAWS = [derive_doc_law(channel, alpha, ell, bound).doc.base
                 for channel, bound in DERIVED_CHANNELS for alpha, ell in DERIVED_ELLS]

@@ -436,13 +436,12 @@ class TestOracleFailure:
         assert capsys.readouterr().err.startswith("error: case b1: n=74989: levels ")
 
 
-def test_monte_carlo_failure_names_case(monkeypatch):
-    def stuck(doc):
-        def quantile(u):
-            raise NonConvergence("derived quantile: 5 values still moving")
-        return quantile
+def _stuck(u):
+    raise NonConvergence("derived quantile: 5 values still moving")
 
-    monkeypatch.setattr(mc, "sampling_quantile", stuck)
+
+def test_monte_carlo_failure_names_case(monkeypatch):
+    monkeypatch.setattr(mc, "sampling_quantiles", lambda docs: [_stuck for _ in docs])
     cfg = E.parse_config(minimal_config())
     with pytest.raises(NonConvergence,
                        match=r"^case b1: derived quantile: 5 values still moving$"):
@@ -452,17 +451,13 @@ def test_monte_carlo_failure_names_case(monkeypatch):
 def test_monte_carlo_failure_names_the_later_case(monkeypatch, tmp_path):
     # both cases share one pass; only the second one's quantile raises, and
     # no case's files are written
-    sampling_quantile = mc.sampling_quantile
+    sampling_quantiles = mc.sampling_quantiles
 
-    def stuck_at_b2(doc):
-        if doc.bound != 2.0:
-            return sampling_quantile(doc)
+    def stuck_at_b2(docs):
+        return [_stuck if doc.bound == 2.0 else quantile
+                for doc, quantile in zip(docs, sampling_quantiles(docs))]
 
-        def quantile(u):
-            raise NonConvergence("derived quantile: 5 values still moving")
-        return quantile
-
-    monkeypatch.setattr(mc, "sampling_quantile", stuck_at_b2)
+    monkeypatch.setattr(mc, "sampling_quantiles", stuck_at_b2)
     model = {**minimal_config()["model"], "bound": [1.0, 2.0]}
     cfg = E.parse_config(minimal_config(model=model, output=str(tmp_path / "run")))
     with pytest.raises(NonConvergence, match=r"^case b2: derived quantile: "):

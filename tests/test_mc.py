@@ -180,11 +180,34 @@ class TestGammaDocuments:
                              mc.RandomStream(14).generator, 5_000)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_table_per_law_per_pass(self, workers, monkeypatch):
+        # example4's three bounds share one certified lower part and one
+        # upper part, and each case's tally is still that of a lone pass
+        import os
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        certified_part, parts = dists._certified_part, []
+
+        def counted(*args):
+            parts.append(args[2:])
+            return certified_part(*args)
+
+        monkeypatch.setattr(dists, "_certified_part", counted)
+        grid = [1, 2, 3, 5, 10, 30, 100, 1000]
+        cases = [(model_4(b), grid) for b in (2.0, 3.0, 4.0)]
+        samples = 3 * mc._BLOCK + 11
+        mc._stream_tallies(cases, 1, 17, 0)
+        assert len(parts) == 2
+        assert parts[0][0] == 0.0 and parts[1][0] == math.log(2.0)
+        assert parts[1][1] == -math.log(cases[-1][0].doc.ccdf_at_bound)
+        got = mc.run_tallies(cases, samples, seed=17, workers=workers)
+        assert got == [mc.run_tally(m, grid, samples, seed=17) for m, grid in cases]
+
     def test_table_counts_match_exact_counts(self):
         # same uniforms, quantiles 1e-12 apart: counts differ only where a
         # draw sits on a geometric boundary
         m = model_4(3.0)
-        table = _batch_counts(m, dists.sampling_quantile(m.doc),
+        table = _batch_counts(m, dists.sampling_quantiles([m.doc])[0],
                               mc.RandomStream(15).generator, 100_000)
         exact = _batch_counts(m, m.doc.quantile_from_uniform,
                               mc.RandomStream(15).generator, 100_000)
@@ -210,7 +233,7 @@ class TestBlockCounts:
         # document uniforms and then all its geometric uniforms
         m = _FAMILY_MODELS[family]()
         gen = mc.RandomStream(41).generator
-        quantile = dists.sampling_quantile(m.doc)
+        quantile = dists.sampling_quantiles([m.doc])[0]
         assert isinstance(quantile, dists._GammaQuantileTable) == (family == "gamma_table")
         want = np.concatenate([
             _batch_counts(m, quantile, gen, min(mc._BLOCK, _BLOCKS_QUOTA - done))
@@ -242,7 +265,7 @@ class TestBlockCounts:
         m = _FAMILY_MODELS[family]()
         gen = mc.RandomStream(45).generator
         assert type(gen.bit_generator) is np.random.PCG64DXSM
-        _batch_counts(m, dists.sampling_quantile(m.doc), gen, mc._BLOCK)
+        _batch_counts(m, dists.sampling_quantiles([m.doc])[0], gen, mc._BLOCK)
         fresh = mc.RandomStream(45).generator
         fresh.bit_generator.advance(mc._BLOCK_STEPS)
         assert gen.bit_generator.state == fresh.bit_generator.state
@@ -393,11 +416,13 @@ class TestRunTallies:
         assert states[0] == states[1]
 
     @pytest.mark.parametrize("family, mib", [
-        ("derived_log_power", 3.25), ("exponential", 2.0), ("gamma_table", 3.0),
+        ("derived_log_power", 3.25), ("exponential", 2.0), ("gamma_table", 2.5),
         ("weibull", 2.0)])
     def test_three_case_working_set(self, family, mib):
         # three int32 binning tables as large as they get (256 KiB each), and
-        # three quantiles; with int64 tables each family peaks 0.75 MiB higher
+        # three quantiles, which for gamma share one table (2.23 MiB measured,
+        # 2.50 with a table per case); with int64 tables each family peaks
+        # 0.75 MiB higher
         m = _FAMILY_MODELS[family]()
         cases = [(m, [1, 2, 5, 10, mc._TABLE_MAX])] * 3
         # a first pass imports what a pass needs, outside the trace
