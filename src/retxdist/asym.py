@@ -86,7 +86,7 @@ def _gamma_argument(p: ApproxParams, n: int) -> float:
 def _log_ell_term(p: ApproxParams, n: int) -> float:
     # ell argument switches from n to 1/gbar_b once n exceeds 1/gbar_b.
     log_arg = min(math.log(n), -math.log(p.gbar_b))
-    return math.log(p.ell.value_log(log_arg))
+    return float(p.ell.log_value(log_arg))
 
 
 def uniform_approx(p: ApproxParams, n: int) -> float:
@@ -116,7 +116,7 @@ def log_power_law_limit(p: ApproxParams, n: int) -> float:
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
     return (gammafn.log_gamma(p.alpha + 1.0)
-            - math.log(p.ell.value_log(math.log(n)))
+            - float(p.ell.log_value(math.log(n)))
             - p.alpha * math.log(n))
 
 
@@ -196,8 +196,7 @@ def log_exp_tail_general(p: ApproxParams, n: int) -> float:
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
     g = p.gbar_b
-    log_ell = math.log(p.ell.value_log(-math.log(g)))
-    return (math.log(p.alpha) - log_ell - math.log(n)
+    return (math.log(p.alpha) - float(p.ell.log_value(-math.log(g))) - math.log(n)
             + (p.alpha - 1.0) * math.log(g) + n * math.log1p(-g))
 
 

@@ -69,7 +69,7 @@ class LazyModule:
         return getattr(module, attr)
 
 
-# scipy.special, imported at its first use
+# scipy.special, imported at its first use; mc.wilson_interval reads it here too
 special = LazyModule(globals(), "special", "scipy.special")
 
 # Grid sizes fixed by the model-validation contracts.
@@ -96,16 +96,15 @@ class Exponential:
             raise InvalidParameter(f"rate must be positive, got {self.rate}")
 
     def ccdf(self, x: ArrayLike) -> ArrayLike:
-        return np.exp(-self.rate * np.asarray(x, dtype=float))
+        return np.exp(self.log_ccdf(x))
 
     def log_ccdf(self, x: ArrayLike) -> ArrayLike:
         return -self.rate * np.asarray(x, dtype=float)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        return -np.expm1(-self.rate * np.asarray(x, dtype=float))
+        return -np.expm1(self.log_ccdf(x))
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
-        """x such that ccdf(x) = q, for q in (0, 1]."""
         return self.quantile_log_ccdf(np.log(_check_q(q)))
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
@@ -170,8 +169,7 @@ class Gamma:
         return special.gammainc(self.shape, self.rate * np.asarray(x, dtype=float))
 
     def quantile_ccdf(self, q: ArrayLike) -> ArrayLike:
-        """x with Q(shape, rate*x) = q."""
-        return special.gammainccinv(self.shape, _check_q(q)) / self.rate
+        return self.quantile_log_ccdf(np.log(_check_q(q)))
 
     def quantile_log_ccdf(self, log_q: ArrayLike) -> ArrayLike:
         """x with log Q(shape, rate*x) = log_q: gammaincinv at p = -expm1(log_q)
@@ -297,9 +295,6 @@ class _GammaQuantileTable:
             dx = np.exp(log_gamma_k1 + rate * t * z + (1.0 - k) * np.log(rate * z)) / rate
             return np.where(t == 0.0, z0 * z0 * rate / (k + 1.0), (dx - z) / t)
 
-        def upper_x(t):
-            return special.gammainccinv(k, np.exp(-t)) / rate
-
         def upper_slope(t, x):
             # dx/dt = q / f(x) = Gamma(k) e^(y - t) y^(1-k) / rate
             y = rate * x
@@ -310,7 +305,8 @@ class _GammaQuantileTable:
         with np.errstate(all="ignore"):
             parts = [_certified_part(lower_z, lower_slope, 0.0, 0.5 ** (1.0 / k))]
             if t_hi is not None:
-                parts.append(_certified_part(upper_x, upper_slope, math.log(2.0), t_hi))
+                parts.append(_certified_part(lambda t: law.quantile_log_ccdf(-t), upper_slope,
+                                             math.log(2.0), t_hi))
         table = cls(law, t_hi, parts)
         if not table.max_error <= _GAMMA_TABLE_TOL:
             _log.debug("gamma quantile table: %s up to bound %g, %s panels, midpoint "
@@ -361,8 +357,12 @@ class SlowVaryOne:
 
     kind = "one"
 
-    def value_log(self, log_y: ArrayLike) -> ArrayLike:
-        return np.ones_like(np.asarray(log_y, dtype=float))[()]
+    def log_value(self, log_y: ArrayLike) -> ArrayLike:
+        return np.zeros_like(np.asarray(log_y, dtype=float))[()]
+
+    def log_slope(self, log_y: ArrayLike) -> ArrayLike:
+        """0, as log ell is."""
+        return self.log_value(log_y)
 
 
 @dataclass(frozen=True)
@@ -385,10 +385,10 @@ class SlowVaryLogPower:
         if self.x_min < math.e:
             raise InvalidParameter(f"x_min must be >= e, got {self.x_min}")
 
-    def value_log(self, log_y: ArrayLike) -> ArrayLike:
+    def log_value(self, log_y: ArrayLike) -> ArrayLike:
         floor = math.log(self.x_min)
-        return self.coeff * np.power(np.maximum(np.asarray(log_y, dtype=float), floor),
-                                     self.exponent)
+        return math.log(self.coeff) + self.exponent * np.log(
+            np.maximum(np.asarray(log_y, dtype=float), floor))
 
     def log_slope(self, log_y: ArrayLike) -> ArrayLike:
         """d log ell / d log y: exponent / log y above the clamp, 0 below."""
@@ -410,13 +410,13 @@ class SlowVaryGammaDoc:
 
         f(t) = doc_rate^(shape-1) / Gamma(shape)
                * int_0^inf e^(-z) (z / doc_rate + t)^(shape-1) dz
-             = e^(doc_rate t) Q(shape, doc_rate t),
+             = e^z Q(shape, z),   z = doc_rate * t,
 
     Q the regularized upper incomplete Gamma, so f(0) = 1 and ell(1) = 1.
-    For integer shape f is a polynomial in t (shape 2 gives
-    1 + doc_rate * t); otherwise the closed form is evaluated through
-    scipy.special.gammaincc up to doc_rate * t = 700, and InvalidParameter
-    is raised beyond. Valid for y >= 1.
+    For integer shape f is the exponential series truncated after
+    z^(shape-1) / (shape-1)! (shape 2 gives 1 + z), at every z; otherwise
+    the closed form is evaluated through scipy.special.gammaincc up to
+    z = 700, and InvalidParameter is raised beyond. Valid for y >= 1.
     """
 
     doc_rate: float
@@ -428,36 +428,32 @@ class SlowVaryGammaDoc:
         if not (self.doc_rate > 0.0 and self.shape > 0.0 and self.channel_rate > 0.0):
             raise InvalidParameter("doc_rate, shape and channel_rate must be positive")
 
-    def _f(self, t: ArrayLike, deriv: bool = False) -> ArrayLike:
-        """f(t), or its derivative f'(t) when deriv is set."""
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    def _z_and_f(self, log_y: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        """z = doc_rate * t, clamped at 0, and f there."""
+        z = self.doc_rate * np.maximum(np.asarray(log_y, dtype=float) / self.channel_rate, 0.0)
         k = self.shape
-        lam = self.doc_rate
         if float(k).is_integer() and k <= 40:
-            m = int(k) - 1
-            acc = np.zeros_like(t)
-            for j in range(m + 1 - deriv):
-                c = math.comb(m, j) * math.factorial(j) / lam ** j
-                acc += (c * (m - j) if deriv else c) * np.power(t, m - j - deriv)
-            return lam ** m / gammafn.gamma(k) * acc
-        z = lam * t
+            term = f = np.ones_like(z)
+            for i in range(1, int(k)):
+                term = term * z / i
+                f = f + term
+            return z, f
         if np.any(z > _GAMMA_DOC_Z_MAX):
             raise InvalidParameter(
                 f"gamma_doc_exact ell with shape {k} is evaluated only up to "
-                f"doc_rate * t = {_GAMMA_DOC_Z_MAX}, got {z.max():.6g}")
-        f = np.exp(z) * special.gammaincc(k, z)
-        if deriv:
-            # d/dt Q(k, lam t) = -lam (lam t)^(k-1) e^(-lam t) / Gamma(k)
-            return lam * f - lam ** k * np.power(t, k - 1.0) / gammafn.gamma(k)
-        return f
+                f"doc_rate * t = {_GAMMA_DOC_Z_MAX}, got {np.max(z):.6g}")
+        return z, np.exp(z) * special.gammaincc(k, z)
 
-    def value_log(self, log_y: ArrayLike) -> ArrayLike:
-        return (1.0 / self._f(np.asarray(log_y, dtype=float) / self.channel_rate))[()]
+    def log_value(self, log_y: ArrayLike) -> ArrayLike:
+        return -np.log(self._z_and_f(log_y)[1])[()]
 
     def log_slope(self, log_y: ArrayLike) -> ArrayLike:
-        """d log ell / d log y = -f'(t) / (channel_rate f(t)), t = log y / channel_rate."""
-        t = np.asarray(log_y, dtype=float) / self.channel_rate
-        return (-self._f(t, deriv=True) / (self.channel_rate * self._f(t)))[()]
+        """d log ell / d log y = -f'(t) / (channel_rate f(t))
+        = -(doc_rate / channel_rate) (1 - z^(shape-1) / (Gamma(shape) f))."""
+        z, f = self._z_and_f(log_y)
+        k = self.shape
+        return (-(self.doc_rate / self.channel_rate)
+                * (1.0 - np.power(z, k - 1.0) / (gammafn.gamma(k) * f)))[()]
 
 
 SlowVary = Union[SlowVaryOne, SlowVaryLogPower, SlowVaryGammaDoc]
@@ -471,7 +467,7 @@ SlowVary = Union[SlowVaryOne, SlowVaryLogPower, SlowVaryGammaDoc]
 def _derived_log_raw(alpha: float, ell: SlowVary, log_g: ArrayLike) -> ArrayLike:
     """h(s) = alpha * s - log ell(-s): the unclamped derived log survival at
     channel log survival s."""
-    return alpha * log_g - np.log(ell.value_log(-log_g))
+    return alpha * log_g - ell.log_value(-log_g)
 
 
 @dataclass(frozen=True)
@@ -479,9 +475,7 @@ class DerivedLaw:
     """Document law defined from the channel through the coupling relation.
 
     The raw survival function Gbar(x)^alpha / ell(1/Gbar(x)) is asymptotic
-    and may exceed 1 near the origin; it is clamped to min(1, raw), and
-    x_anchor records the first grid point where the raw expression drops
-    below 1 (the clamp is inactive beyond it).
+    and may exceed 1 near the origin; it is clamped to min(1, raw).
 
     The raw log survival depends on x only through s = log Gbar(x):
     h(s) = alpha * s - log ell(-s). The quantile solves h(s) = log q for
@@ -497,7 +491,6 @@ class DerivedLaw:
     channel: Union[Exponential, Weibull, Gamma]
     alpha: float
     ell: SlowVary
-    x_anchor: float
     family = "derived"
 
     QUANTILE_RESIDUAL_TOL = 64.0 * np.finfo(float).eps
@@ -536,7 +529,7 @@ class DerivedLaw:
         adjacent doubles, and is accepted then.
         """
         s = np.zeros_like(log_q)
-        h_at_zero = -math.log(self.ell.value_log(0.0))
+        h_at_zero = _derived_log_raw(self.alpha, self.ell, 0.0)
         idx = np.flatnonzero((log_q < h_at_zero) & (log_q < 0.0))
         target = log_q[idx]
         tol = self.QUANTILE_RESIDUAL_TOL * (1.0 - target)
@@ -737,8 +730,7 @@ def validate_coupling(m: CoupledModel) -> CouplingReport:
     xs = np.linspace(x_start, x_end, COUPLING_GRID_POINTS)
     log_g = np.asarray(m.channel.log_ccdf(xs), dtype=float)
     log_f = np.asarray(m.doc.base.log_ccdf(xs), dtype=float)
-    log_term = log_f + np.log(m.ell.value_log(-log_g)) - m.alpha * log_g
-    residuals = np.abs(np.expm1(log_term))
+    residuals = np.abs(np.expm1(log_f - _derived_log_raw(m.alpha, m.ell, log_g)))
     return CouplingReport(float(residuals.max()),
                           tuple(zip(xs.tolist(), residuals.tolist())))
 
@@ -749,7 +741,8 @@ def derive_doc_law(channel: Law, alpha: float, ell: SlowVary,
 
     The raw survival function must be nonincreasing on a 256-point grid
     over [0, bound] (NotMonotone otherwise, which signals an ell too wild
-    for the channel). The clamp anchor is recorded on the law.
+    for the channel), and must drop to 1 or below somewhere on that grid
+    (DegenerateTruncation otherwise).
     """
     if not alpha > 0.0:
         raise InvalidParameter(f"alpha must be positive, got {alpha}")
@@ -762,10 +755,8 @@ def derive_doc_law(channel: Law, alpha: float, ell: SlowVary,
     if np.any(np.diff(raw_log) > 1e-12):
         raise NotMonotone(
             "derived survival function is not nonincreasing on the check grid")
-    below = np.nonzero(raw_log <= 0.0)[0]
-    if below.size == 0:
+    if not np.any(raw_log <= 0.0):
         raise DegenerateTruncation(
             "derived survival function exceeds 1 on the whole grid")
-    law = DerivedLaw(channel, alpha, ell, x_anchor=float(xs[below[0]]))
-    return CoupledModel(channel, BoundedDoc(law, bound), alpha, ell)
+    return CoupledModel(channel, BoundedDoc(DerivedLaw(channel, alpha, ell), bound), alpha, ell)
 

@@ -50,11 +50,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dists import CoupledModel, LazyModule, sampling_quantiles
+from . import dists
+from .dists import CoupledModel, sampling_quantiles
 from .errors import InvalidParameter, RetxError
-
-# scipy.special, imported at wilson_interval's first call
-special = LazyModule(globals(), "special", "scipy.special")
 
 # Samples per draw block: a block's temporaries stay in cache.
 _BLOCK = 1 << 14
@@ -329,7 +327,7 @@ def wilson_interval(successes: int, total: int, confidence: float) -> tuple[floa
         raise InvalidParameter(f"confidence must be in (0, 1), got {confidence}")
     if total <= 0:
         raise InvalidParameter("total must be positive")
-    z = float(special.ndtri(0.5 + confidence / 2.0))
+    z = float(dists.special.ndtri(0.5 + confidence / 2.0))
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2.0 * total)) / denom

@@ -57,7 +57,7 @@ class OracleResult:
 
     log_value is exact even when value underflows to 0; est_abs_err is the
     difference of the rule's two levels on the linear scale; subdivisions
-    and evaluations both count integrand points.
+    counts integrand points.
     """
 
     n: int
@@ -65,7 +65,6 @@ class OracleResult:
     est_abs_err: float
     subdivisions: int
     log_value: float
-    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,7 @@ def ccdf_exact(m: CoupledModel, n: int) -> OracleResult:
             f"over {quad.evaluations} nodes")
     log_value = n * math.log1p(-m.gbar_bound) + math.log(quad.value)
     value = exp_or_zero(log_value)
-    return OracleResult(n, value, value * (gap / quad.value), quad.evaluations,
-                        log_value, quad.evaluations)
+    return OracleResult(n, value, value * (gap / quad.value), quad.evaluations, log_value)
 
 
 def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
@@ -149,7 +147,7 @@ def ccdf_exact_curve(m: CoupledModel, grid: Sequence[int], *,
         if res.log_value > prev_log + 1e-9:
             raise QuadratureFailure(
                 f"oracle curve not monotone at n={n}: log {res.log_value} "
-                f"after {prev_log} ({res.evaluations} nodes)")
+                f"after {prev_log} ({res.subdivisions} nodes)")
         prev_log = res.log_value
         if stop_below is not None and res.value < stop_below and out:
             break

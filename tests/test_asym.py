@@ -277,8 +277,8 @@ class TestRegimeLimits:
                      + asym.gammafn.log_upper_incomplete_gamma(
                          n_hi * asym.neg_log_one_minus(p.gbar_b), p.alpha)
                      - p.alpha * math.log(n_hi)
-                     - math.log(ell.value_log(math.log(n_hi))))
+                     - float(ell.log_value(math.log(n_hi))))
         jump = abs(math.exp(with_switch - no_switch) - 1.0)
-        ell_step = abs(float(ell.value_log(math.log(n_hi)))
-                       / float(ell.value_log(math.log(n_lo))) - 1.0)
+        ell_step = abs(math.expm1(float(ell.log_value(math.log(n_hi))
+                                        - ell.log_value(math.log(n_lo)))))
         assert jump <= ell_step + 0.01

@@ -88,6 +88,19 @@ class TestParametricLaws:
             x = law.quantile_ccdf(u)
             assert abs(law.ccdf(x) - u) <= 1e-9
 
+    @pytest.mark.parametrize("law, ulps", [
+        (Gamma(2.0, 2.0), 4), (Gamma(2.0, 3.5), 4),
+        # scipy's own error at q = 1 - 1e-12, where x ~ p^2: 13 eps measured
+        (Gamma(2.0, 0.5), 16)], ids=repr)
+    def test_gamma_quantile_against_mpmath(self, law, ulps):
+        mpmath = pytest.importorskip("mpmath")
+        qs = [1.0 - 1e-12, 0.75, 0.5, 1e-3, 1e-100, 1e-300]
+        with mpmath.workdps(40):
+            want = np.array([float(_mp_quantile_log_ccdf(mpmath, law, mpmath.log(q)))
+                             for q in map(mpmath.mpf, qs)])
+        got = law.quantile_ccdf(np.array(qs))
+        assert np.max(np.abs(got / want - 1.0)) <= ulps * np.finfo(float).eps
+
     def test_quantile_domain(self):
         with pytest.raises(InvalidParameter):
             Exponential(1.0).quantile_ccdf(0.0)
@@ -236,8 +249,8 @@ class TestSlowVary:
     def test_slow_variation_profile(self, ell):
         xs = np.geomspace(1e2, 1e12, 11)
         for lam in (2.0, 10.0):
-            devs = [abs(float(ell.value_log(math.log(lam * x)))
-                        / float(ell.value_log(math.log(x))) - 1.0)
+            devs = [abs(math.expm1(float(ell.log_value(math.log(lam * x))
+                                         - ell.log_value(math.log(x)))))
                     for x in xs]
             assert all(b <= a + 1e-15 for a, b in zip(devs, devs[1:]))
             assert devs[-1] < 0.05 if lam == 2.0 else devs[-1] < 0.08
@@ -246,24 +259,45 @@ class TestSlowVary:
         for ell in (SlowVaryOne(), SlowVaryLogPower(1.0, -1.0),
                     SlowVaryGammaDoc(2.0, 2.0, 2.0)):
             ys = np.geomspace(1.0, 1e15, 30)
-            assert np.all(np.asarray(ell.value_log(np.log(ys))) > 0)
+            assert np.all(np.isfinite(ell.log_value(np.log(ys))))
 
     def test_gamma_doc_closed_form_shape_two(self):
         # f(t) = 1 + doc_rate * t when the shape is 2, so
         # ell(y) = 1 / (1 + doc_rate * log(y) / channel_rate)
         ell = SlowVaryGammaDoc(2.0, 2.0, 2.0)
         for y in (1.0, 10.0, 1e4):
-            assert float(ell.value_log(math.log(y))) == pytest.approx(
-                1.0 / (1.0 + math.log(y)), rel=1e-12)
+            assert float(ell.log_value(math.log(y))) == pytest.approx(
+                -math.log1p(math.log(y)), rel=1e-12, abs=0.0)
 
-    def test_gamma_doc_closed_form_matches_polynomial(self):
+    def test_gamma_doc_closed_form_matches_series(self):
         # non-integer shape goes through e^z Q(shape, z); compare against the
-        # integer-shape polynomial at a shape where both routes are valid
-        poly = SlowVaryGammaDoc(2.0, 3.0, 2.0)
+        # integer-shape series at a shape where both routes are valid
+        series = SlowVaryGammaDoc(2.0, 3.0, 2.0)
         closed = SlowVaryGammaDoc(2.0, 3.0 + 1e-13, 2.0)
         for y in (2.0, 50.0, 1e6):
-            assert float(poly.value_log(math.log(y))) == pytest.approx(
-                float(closed.value_log(math.log(y))), rel=1e-9)
+            assert float(series.log_value(math.log(y))) == pytest.approx(
+                float(closed.log_value(math.log(y))), rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 3.0, 5.0, 12.0])
+    def test_gamma_doc_integer_series(self, shape):
+        # f = e^z Q(shape, z) is the exponential series cut after
+        # z^(shape-1) / (shape-1)!, evaluated at every z: no cap at 700
+        mpmath = pytest.importorskip("mpmath")
+        ell = SlowVaryGammaDoc(2.0, shape, 1.5)
+        zs = [1e-3, 0.3, 2.0, 40.0, 700.0, 1e3]
+        got = np.exp(-ell.log_value(1.5 / 2.0 * np.array(zs)))
+        with mpmath.workdps(40):
+            want = [mpmath.exp(z) * mpmath.gammainc(shape, z, mpmath.inf, regularized=True)
+                    for z in map(mpmath.mpf, zs)]
+        assert max(abs(g / float(w) - 1.0) for g, w in zip(got, want)) <= 1e-13
+
+    @pytest.mark.parametrize("ell", [
+        SlowVaryOne(), SlowVaryLogPower(1.0, 1.0), SlowVaryLogPower(1.0, -0.5),
+        SlowVaryGammaDoc(2.0, 2.0, 2.0), SlowVaryGammaDoc(7.0, 5.0, 2.0),
+        SlowVaryGammaDoc(2.0, 2.5, 1.5), SlowVaryGammaDoc(2.0, 0.5, 1.5)], ids=repr)
+    def test_log_value_is_zero_at_one(self, ell):
+        # ell(1) = 1 for each of these, so log ell(1) rounds to nothing
+        assert ell.log_value(0.0) == 0.0
 
     @pytest.mark.parametrize("shape", [0.5, 1.5, 2.5])
     def test_gamma_doc_non_integer_shape(self, shape):
@@ -271,21 +305,21 @@ class TestSlowVary:
         mpmath = pytest.importorskip("mpmath")
         doc_rate, channel_rate = 2.0, 1.5
         ell = SlowVaryGammaDoc(doc_rate, shape, channel_rate)
-        assert float(ell.value_log(0.0)) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        assert ell.log_value(0.0) == 0.0
         for t in (1e-3, 0.01, 0.3, 2.0, 40.0):
             z = mpmath.mpf(doc_rate * t)
             want = mpmath.exp(z) * mpmath.gammainc(shape, z, mpmath.inf, regularized=True)
-            got = 1.0 / float(ell.value_log(channel_rate * t))
+            got = math.exp(-float(ell.log_value(channel_rate * t)))
             assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_gamma_doc_beyond_closed_form_range(self):
         ell = SlowVaryGammaDoc(2.0, 0.5, 1.0)
         with pytest.raises(InvalidParameter):
-            ell.value_log(400.0)          # doc_rate * t = 800
+            ell.log_value(400.0)          # doc_rate * t = 800
 
     def test_log_power_clamp(self):
         ell = SlowVaryLogPower(1.0, 2.0)
-        assert float(ell.value_log(0.0)) == float(ell.value_log(1.0))
+        assert float(ell.log_value(0.0)) == float(ell.log_value(1.0))
 
 
 class TestCoupling:
@@ -443,9 +477,11 @@ class TestDerivedLaw:
         want = float(m.doc.ccdf(1.0))
         assert abs(emp - want) <= 4 * math.sqrt(want * (1 - want) / len(xs))
 
-    def test_anchor_recorded(self):
-        m = derive_doc_law(Exponential(1.0), 1.0, SlowVaryOne(), 4.0)
-        assert m.doc.base.x_anchor == 0.0
+    def test_survival_above_one_everywhere_rejected(self):
+        # ell(1/Gbar(x)) = 0.01 up to the clamp: the raw survival is 100 e^(-x),
+        # above 1 on all of [0, 1]
+        with pytest.raises(DegenerateTruncation):
+            derive_doc_law(Exponential(1.0), 1.0, SlowVaryLogPower(0.01, 1.0), 1.0)
 
     def test_not_monotone_rejected(self):
         # a strong negative log power makes the raw survival rise near 0
@@ -498,12 +534,14 @@ class TestDerivedQuantile:
     @pytest.mark.parametrize("ell", [SlowVaryLogPower(1.0, 1.0),
                                      SlowVaryLogPower(0.5, -0.5),
                                      SlowVaryGammaDoc(2.0, 2.0, 2.0),
-                                     SlowVaryGammaDoc(2.0, 2.5, 1.5)])
+                                     SlowVaryGammaDoc(2.0, 2.5, 1.5),
+                                     SlowVaryOne(),
+                                     SlowVaryGammaDoc(2.0, 3.0, 2.0)])
     def test_log_slope_is_derivative(self, ell):
         # Newton's h'(s) = alpha + log_slope(-s) must match h itself
         log_y = np.linspace(1.5, 30.0, 50)
         h = 1e-6
-        fd = (np.log(ell.value_log(log_y + h)) - np.log(ell.value_log(log_y - h))) / (2 * h)
+        fd = (ell.log_value(log_y + h) - ell.log_value(log_y - h)) / (2 * h)
         assert np.max(np.abs(ell.log_slope(log_y) - fd)) <= 1e-7
 
     def test_quantile_zero_where_law_starts_below_q(self):
@@ -514,10 +552,10 @@ class TestDerivedQuantile:
         assert law.quantile_ccdf(0.25) > 0.0
 
     def test_quantile_of_one_skips_newton(self):
-        # this shape-5 polynomial gives ell(1) = 1 - 2.2e-16, so h(0) > 0 = log q
+        # ell(1) = 1 - 1.1e-16 makes h(0) = 1.1e-16 > 0 = log q
         law = derive_doc_law(Exponential(2.0), 4.0,
-                             SlowVaryGammaDoc(7.0, 5.0, 2.0), 2.0).doc.base
-        assert -math.log(law.ell.value_log(0.0)) > 0.0
+                             SlowVaryLogPower(1.0 - 2.0 ** -53, 1.0), 2.0).doc.base
+        assert dists._derived_log_raw(law.alpha, law.ell, 0.0) > 0.0
         with np.errstate(all="raise"):
             assert law.quantile_ccdf(1.0) == 0.0
             assert np.all(law.quantile_ccdf(np.array([1.0, 0.5]))[:1] == 0.0)
@@ -717,11 +755,8 @@ def _methods(obj):
         xs = XS * (obj.bound / 30.0) if math.isfinite(obj.bound) else XS
         return [("ccdf", obj.ccdf, xs), ("cdf", obj.cdf, xs),
                 ("quantile_from_uniform", obj.quantile_from_uniform, US)]
-    if hasattr(obj, "value_log"):
-        out = [("value_log", obj.value_log, LOG_YS)]
-        if hasattr(obj, "log_slope"):
-            out.append(("log_slope", obj.log_slope, LOG_YS))
-        return out
+    if hasattr(obj, "log_value"):
+        return [("log_value", obj.log_value, LOG_YS), ("log_slope", obj.log_slope, LOG_YS)]
     return [("ccdf", obj.ccdf, XS), ("log_ccdf", obj.log_ccdf, XS),
             ("cdf", obj.cdf, XS), ("quantile_ccdf", obj.quantile_ccdf, QS),
             ("quantile_log_ccdf", obj.quantile_log_ccdf, LOG_QS)]
@@ -751,8 +786,10 @@ class TestOnePath:
             np.testing.assert_array_equal(np.array(scalar), array, err_msg=name)
 
     @pytest.mark.parametrize("law", [Exponential(2.0), Weibull(0.5, 16.0),
-                                     Weibull(2.0, 2.0)] + DERIVED_LAWS,
+                                     Weibull(2.0, 2.0), Gamma(2.0, 2.0),
+                                     Gamma(0.7, 3.2)] + DERIVED_LAWS,
                              ids=lambda o: repr(o)[:60])
     def test_quantile_ccdf_is_quantile_log_ccdf_at_log_q(self, law):
-        got = law.quantile_ccdf(QS)
-        assert got.tobytes() == law.quantile_log_ccdf(np.log(QS)).tobytes()
+        qs = np.concatenate([QS, [1.0, 0.5, 5e-324]])
+        got = law.quantile_ccdf(qs)
+        assert got.tobytes() == law.quantile_log_ccdf(np.log(qs)).tobytes()

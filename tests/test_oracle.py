@@ -48,12 +48,12 @@ class TestPointValues:
 
     def test_evaluation_count(self, exp_pair_b2):
         res = ccdf_exact(exp_pair_b2, 10)
-        assert res.evaluations == res.subdivisions == NODES
+        assert res.subdivisions == NODES
         # the log_power kink at w = 1/e splits the rule where it lies above
         # g (bound 16), and not where it lies below (bound 0.5)
-        assert ccdf_exact(model_log_power(16.0), 10).evaluations == 2 * NODES
-        assert ccdf_exact(model_log_power(0.5), 10).evaluations == NODES
-        assert ccdf_exact(exp_pair_b2, 0).evaluations == 0
+        assert ccdf_exact(model_log_power(16.0), 10).subdivisions == 2 * NODES
+        assert ccdf_exact(model_log_power(0.5), 10).subdivisions == NODES
+        assert ccdf_exact(exp_pair_b2, 0).subdivisions == 0
 
     def test_negative_n_rejected(self, exp_pair_b2):
         with pytest.raises(InvalidParameter):
@@ -199,7 +199,7 @@ class TestFixedRule:
                                          (model_log_power(16.0), 2 * NODES)])
     def test_fixed_cost(self, m, nodes):
         # the same nodes at every n and every bound, g = 9.9e-305 included
-        assert [ccdf_exact(m, n).evaluations for n in (1, 10**3, 10**7)] == [nodes] * 3
+        assert [ccdf_exact(m, n).subdivisions for n in (1, 10**3, 10**7)] == [nodes] * 3
 
     @pytest.mark.parametrize("bound", [744.0, 745.0])
     def test_subnormal_channel_survival(self, bound):
@@ -387,7 +387,7 @@ class TestInvariants:
 
     def test_non_monotone_curve_names_its_spend(self, exp_pair_b1, monkeypatch):
         def rising(m, n):
-            return OracleResult(n, 0.0, 0.0, 10 * n, -100.0 + n, 150 * n)
+            return OracleResult(n, 0.0, 0.0, 150 * n, -100.0 + n)
 
         monkeypatch.setattr(oracle, "ccdf_exact", rising)
         with pytest.raises(QuadratureFailure, match=r"^oracle curve not monotone at n=2: "
