@@ -18,7 +18,8 @@ Every law inverts its survival at a log level (quantile_log_ccdf), and a
 bounded document draws through it at log q = log1p(-u F(bound)). The
 gamma family evaluates and inverts through scipy.special, cross-checked
 against the in-house incomplete Gamma in the tests. sampling_quantiles
-gives Monte Carlo one certified quantile table per gamma law, which every
+gives Monte Carlo one certified quantile table (_QuantileTable) per
+numerically inverted law, gamma or derived with ell != 1, which every
 bounded document of that law draws through.
 
 Laws carry a family tag and slowly varying functions a kind tag, which
@@ -194,156 +195,286 @@ def _check_q(q: ArrayLike) -> np.ndarray:
     return q
 
 
-# Certified quantile table of a gamma law. Each part starts with
-# _GAMMA_TABLE_PANELS panels and doubles them until every panel midpoint is
-# within _GAMMA_TABLE_TOL relative of the reference inversion; a table with
-# a part that still misses at _GAMMA_TABLE_MAX_PANELS is not used.
-_GAMMA_TABLE_PANELS = 64
-_GAMMA_TABLE_MAX_PANELS = 1 << 14
-_GAMMA_TABLE_TOL = 1e-12
+# Each part of a certified quantile table starts with _TABLE_PANELS panels
+# and doubles them until every panel midpoint is within _TABLE_TOL relative
+# of the reference inversion; a table with a part that still misses at
+# _TABLE_MAX_PANELS is not used.
+_TABLE_PANELS = 64
+_TABLE_MAX_PANELS = 1 << 14
+_TABLE_TOL = 1e-12
 
 
-def _certified_part(x_of_t, slope, t0: float, t1: float
+def _certified_part(value, slope, t0: float, t1: float, x_of=lambda y: y
                     ) -> tuple[np.ndarray, int, float]:
-    """Cubic-Hermite panels of x(t) on [t0, t1]: (coefficients, panels, error).
+    """Cubic-Hermite panels of y(t) on [t0, t1]: (coefficients, panels, error).
 
-    Row i holds c0..c3 of x = c0 + s (c1 + s (c2 + s c3)), s in [0, 1] across
-    panel i. The error is the largest relative midpoint miss; the midpoints
-    of one round become nodes of the next, so every reference inversion is
-    made once.
+    value(t, guess) is the reference y at nodes t; guess is None at the
+    first nodes and the table's own value at later ones, a start for an
+    iterative reference. slope(t, y) is dy/dt. Row i holds c0..c3 of
+    y = c0 + f (c1 + f (c2 + f c3)), f in [0, 1] across panel i. The error
+    is the largest midpoint miss relative to |x|, x = x_of(y) (y itself by
+    default); the midpoints of one round become nodes of the next, so every
+    reference value is made once. A table value or an error that is not
+    finite ends the doubling: it comes from a node, and the nodes stay.
     """
-    n = _GAMMA_TABLE_PANELS
+    n = _TABLE_PANELS
     t = np.linspace(t0, t1, n + 1)
-    x = x_of_t(t)
+    y = value(t, None)
     while True:
-        d = slope(t, x) * ((t1 - t0) / n)
-        dx = np.diff(x)
-        c = np.stack([x[:-1], d[:-1], 3.0 * dx - 2.0 * d[:-1] - d[1:],
-                      d[:-1] + d[1:] - 2.0 * dx], axis=1)
+        d = slope(t, y) * ((t1 - t0) / n)
+        dy = np.diff(y)
+        c = np.stack([y[:-1], d[:-1], 3.0 * dy - 2.0 * d[:-1] - d[1:],
+                      d[:-1] + d[1:] - 2.0 * dy], axis=1)
         t_mid = 0.5 * (t[:-1] + t[1:])
-        x_mid = x_of_t(t_mid)
         approx = c[:, 0] + 0.5 * (c[:, 1] + 0.5 * (c[:, 2] + 0.5 * c[:, 3]))
-        err = float(np.max(np.abs(approx - x_mid) / x_mid))
-        if err <= _GAMMA_TABLE_TOL or n >= _GAMMA_TABLE_MAX_PANELS:
+        if not np.isfinite(approx).all():
+            return c, n, math.inf
+        y_mid = value(t_mid, approx)
+        x_mid = x_of(y_mid)
+        err = float(np.max(np.abs(x_of(approx) - x_mid) / np.abs(x_mid)))
+        if err <= _TABLE_TOL or n >= _TABLE_MAX_PANELS or not math.isfinite(err):
             return c, n, err
         after = np.arange(1, n + 1)
-        t, x, n = np.insert(t, after, t_mid), np.insert(x, after, x_mid), 2 * n
+        t, y, n = np.insert(t, after, t_mid), np.insert(y, after, y_mid), 2 * n
 
 
-class _GammaQuantileTable:
-    """Quantile of a gamma law truncated to a bound, as a certified table
-    of the law.
+def _tabulated(law: Law) -> bool:
+    """Whether Monte Carlo draws law's bounded documents through a table:
+    gamma laws, and derived laws with ell != 1 (whose root is not closed)."""
+    return isinstance(law, Gamma) or (isinstance(law, DerivedLaw)
+                                      and not isinstance(law.ell, SlowVaryOne))
+
+
+class _QuantileTable:
+    """Quantile of a gamma or derived law truncated to a bound, as a
+    certified table of the law.
 
     A uniform u in (0, 1] maps to the lower-tail probability p = u F(b) and
     the upper-tail probability q = (1 - u) F(b) + Fbar(b), which is 1 - p
-    without its cancellation. Two uniform cubic-Hermite tables cover the
-    law, whatever the bound. Below p = 1/2 the lower part holds the ratio
-    z = x / t over t = p^(1/shape): z tends to Gamma(shape + 1)^(1/shape) /
-    rate as p -> 0, so its relative error is that of x down to x = 0. Above,
-    the upper part holds x over t = -log q, from log 2 up to the largest
-    -log Fbar(b) of the documents the table is built for. Each node holds x
-    from scipy's gammaincinv (lower part) or gammainccinv (upper part) and
-    the exact slope from the gamma density. build returns None unless every
-    panel midpoint of both parts is within _GAMMA_TABLE_TOL relative of the
-    same reference.
+    without its cancellation; above p = 1/2 the table reads t = -log q.
+    Uniform cubic-Hermite parts cover the law whatever the bound, up to the
+    largest -log Fbar(b) of the documents the table is built for. build
+    returns None unless every panel midpoint of every part is within
+    _TABLE_TOL relative of the law's reference inversion.
 
-    The bound enters only through F(b) and Fbar(b), which for_doc sets on a
-    copy that shares the panels. Lower panel i stores x = (i + f) z(f) /
-    lo_scale as one quartic in the panel fraction f, and each upper panel
-    its cubic with a zero fifth coefficient, so a call is one Horner pass
-    over one fractional panel index. Calls take a 1-d array of uniforms;
-    Monte Carlo hands them one block at a time, which keeps the
-    temporaries in cache.
+    A gamma law has two parts, with nodes from scipy's gammaincinv (lower)
+    and gammainccinv (upper) and exact slopes from the gamma density. Below
+    p = 1/2 the lower part holds the ratio z = x / t over t = p^(1/shape):
+    z tends to Gamma(shape + 1)^(1/shape) / rate as p -> 0, so its relative
+    error is that of x down to x = 0. Above, the upper part holds x over
+    t = -log q, from log 2 up.
+
+    A derived law holds s = log Gbar(x) over t = -log q for every p, taken
+    as -log1p(-p) below p = 1/2, so a small p keeps its digits; x is the
+    channel's quantile_log_ccdf(s), certified relative in x and capped at
+    the bound. Nodes come from the law's Newton root of h(s) = -t, and the
+    slopes ds/dt = -1 / h'(s), h'(s) = alpha + ell.log_slope(-s). The table
+    starts at t0 = max(0, -h(0)), below which the quantile is 0 (at t0 = 0
+    its node is the root's limit as q -> 1, which draws, all with q < 1,
+    approach). A log_power ell's clamp kinks h, so the parts split there;
+    each part takes the slope of its own side of the kink.
+
+    A document enters only through its F(b), Fbar(b) and bound, which
+    for_doc sets on a copy that shares the panels. Lower gamma panel i
+    stores x = (i + f) z(f) / lo_scale as one quartic in the panel fraction
+    f, and every other panel its cubic, with a zero fifth coefficient in a
+    gamma table, so a call is one Horner pass over one fractional panel
+    index. Calls take a 1-d array of uniforms; Monte Carlo hands them one
+    block at a time, which keeps the temporaries in cache.
     """
 
-    def __init__(self, law: Gamma, t_hi: Optional[float], parts: list) -> None:
-        self.inv_shape = 1.0 / law.shape
+    def __init__(self, law: Law, knots: list, parts: list) -> None:
+        """parts as _certified_part returns them; knots, the ends of the
+        parts over t = -log q (a gamma table's upper part only)."""
         self.panels = tuple(n for _, n, _ in parts)
         self.max_error = max(err for _, _, err in parts)
-        # Fractional panel index: t * lo_scale in the lower part, and
-        # -log(q) * hi_scale + hi_offset = n_lo + (t - log 2) * hi_scale above.
-        self.lo_scale = self.panels[0] / 0.5 ** self.inv_shape
-        self.hi_scale = self.hi_offset = 0.0
-        # x = t z = (i + f) (c0 + f (c1 + f (c2 + f c3))) / lo_scale on lower panel i
-        c = parts[0][0] / self.lo_scale
-        zero = np.zeros((len(c), 1))
-        rows = [np.arange(len(c))[:, None] * np.hstack([c, zero]) + np.hstack([zero, c])]
-        if len(parts) > 1:
-            self.hi_scale = self.panels[1] / (t_hi - math.log(2.0))
-            self.hi_offset = self.panels[0] - math.log(2.0) * self.hi_scale
-            rows.append(np.hstack([parts[1][0], np.zeros((self.panels[1], 1))]))
-        self.coeffs = np.concatenate(rows)
-        self.last = len(self.coeffs) - 1
-        self.cdf_at_bound = self.ccdf_at_bound = math.nan
+        self.bound = self.cdf_at_bound = self.ccdf_at_bound = math.nan
+        self.channel = law.channel if isinstance(law, DerivedLaw) else None
+        rows = [c for c, _, _ in parts]
+        if self.channel is not None:
+            # Fractional panel index: the sum over part starts t_j of
+            # max(t - t_j, 0) steps_j, steps_j the change there of the panels
+            # per unit t. It is measured from each start, so a small t keeps
+            # its digits, and it is 0 below the table.
+            self.knots = knots
+            self.steps = np.diff(np.divide(self.panels, np.diff(knots)), prepend=0.0).tolist()
+        else:
+            self.inv_shape = 1.0 / law.shape
+            # Fractional panel index: t * lo_scale in the lower part, and
+            # -log(q) * hi_scale + hi_offset = n_lo + (t - log 2) * hi_scale above.
+            self.lo_scale = self.panels[0] / 0.5 ** self.inv_shape
+            self.hi_scale = self.hi_offset = 0.0
+            # x = t z = (i + f) (c0 + f (c1 + f (c2 + f c3))) / lo_scale on lower panel i
+            c = rows[0] / self.lo_scale
+            zero = np.zeros((len(c), 1))
+            rows[0] = np.arange(len(c))[:, None] * np.hstack([c, zero]) + np.hstack([zero, c])
+            if len(parts) > 1:
+                self.hi_scale = self.panels[1] / (knots[1] - knots[0])
+                self.hi_offset = self.panels[0] - knots[0] * self.hi_scale
+                rows[1] = np.hstack([rows[1], np.zeros((self.panels[1], 1))])
+        # coeffs[j] holds coefficient j of every panel, so a call gathers one
+        # contiguous row at a time, into a block-sized buffer
+        self.coeffs = np.ascontiguousarray(np.concatenate(rows).T)
+        self.last = self.coeffs.shape[1] - 1
 
     @classmethod
-    def build(cls, law: Gamma, docs: Sequence["BoundedDoc"]
-              ) -> Optional["_GammaQuantileTable"]:
+    def build(cls, law: Law, docs: Sequence["BoundedDoc"]) -> Optional["_QuantileTable"]:
         """The certified table of law for its bounded documents docs, each
-        with Fbar(bound) > 0, or None (logged at DEBUG) where there is none."""
-        k, rate = law.shape, law.rate
-        log_gamma_k, log_gamma_k1 = math.lgamma(k), math.lgamma(k + 1.0)
-        z0 = math.exp(log_gamma_k1 / k) / rate
+        with Fbar(bound) > 0, or None (logged at DEBUG) where there is none.
 
-        def lower_z(t):
-            x = special.gammaincinv(k, np.power(t, k)) / rate
-            return np.where(t == 0.0, z0, x / t)
-
-        def lower_slope(t, z):
-            # dz/dt = (dx/dt - z) / t with dx/dt = Gamma(k+1) e^y (rate z)^(1-k) / rate,
-            # y = rate x = rate t z; z0^2 rate / (k + 1) at t = 0
-            dx = np.exp(log_gamma_k1 + rate * t * z + (1.0 - k) * np.log(rate * z)) / rate
-            return np.where(t == 0.0, z0 * z0 * rate / (k + 1.0), (dx - z) / t)
-
-        def upper_slope(t, x):
-            # dx/dt = q / f(x) = Gamma(k) e^(y - t) y^(1-k) / rate
-            y = rate * x
-            return np.exp(log_gamma_k + y - t - (k - 1.0) * np.log(y)) / rate
-
-        t_hi = max((-math.log(d.ccdf_at_bound) for d in docs if d.cdf_at_bound > 0.5),
-                   default=None)
-        with np.errstate(all="ignore"):
-            parts = [_certified_part(lower_z, lower_slope, 0.0, 0.5 ** (1.0 / k))]
-            if t_hi is not None:
-                parts.append(_certified_part(lambda t: law.quantile_log_ccdf(-t), upper_slope,
-                                             math.log(2.0), t_hi))
-        table = cls(law, t_hi, parts)
-        if not table.max_error <= _GAMMA_TABLE_TOL:
-            _log.debug("gamma quantile table: %s up to bound %g, %s panels, midpoint "
-                       "error %.3g above %g; using the exact quantile",
-                       law, max(d.bound for d in docs), "+".join(map(str, table.panels)),
-                       table.max_error, _GAMMA_TABLE_TOL)
+        A derived law whose Newton root fails at a node has none either: its
+        exact quantile then raises for the draws that reach that root.
+        """
+        where = f"quantile table: {law} up to bound {max(d.bound for d in docs):g}"
+        if isinstance(law, DerivedLaw):
+            t_hi = max(-math.log(d.ccdf_at_bound) for d in docs)
+            try:
+                knots, parts = _derived_parts(law, t_hi)
+            except (NonConvergence, InvalidParameter) as exc:
+                _log.debug("%s: %s; using the exact quantile", where, exc)
+                return None
+        else:
+            t_hi = max((-math.log(d.ccdf_at_bound) for d in docs if d.cdf_at_bound > 0.5),
+                       default=None)
+            knots, parts = _gamma_parts(law, t_hi)
+        error = max(err for _, _, err in parts)
+        if not error <= _TABLE_TOL:
+            _log.debug("%s, %s panels, midpoint error %.3g above %g; using the exact "
+                       "quantile", where, "+".join(str(n) for _, n, _ in parts),
+                       error, _TABLE_TOL)
             return None
-        return table
+        return cls(law, knots, parts)
 
-    def for_doc(self, doc: "BoundedDoc") -> "_GammaQuantileTable":
+    def for_doc(self, doc: "BoundedDoc") -> "_QuantileTable":
         """This table drawing doc's sizes: a copy that shares the panels."""
         table = copy.copy(self)
+        table.bound = doc.bound
         table.cdf_at_bound, table.ccdf_at_bound = doc.cdf_at_bound, doc.ccdf_at_bound
         return table
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        # each step's temporaries go when it returns, so fewer block-sized
+        # arrays are live at once and malloc does not trim the heap per block
+        y = self._horner(self._position(u))
+        if self.channel is None:
+            return y
+        x = self.channel.quantile_log_ccdf(y)
+        return np.minimum(x, self.bound, out=x)
+
+    def _position(self, u: np.ndarray) -> np.ndarray:
+        """The fractional panel index of each uniform."""
         p = u * self.cdf_at_bound
-        upper = p > 0.5
-        pos = np.power(p, self.inv_shape, out=p)
-        pos *= self.lo_scale
         q = 1.0 - u
         q *= self.cdf_at_bound
         q += self.ccdf_at_bound
+        if self.channel is None:
+            upper = p > 0.5
+            np.log(q, out=q)
+            pos = np.power(p, self.inv_shape, out=p)
+            pos *= self.lo_scale
+            q *= -self.hi_scale
+            q += self.hi_offset
+            np.putmask(pos, upper, q)
+            return pos
+        # -t = log1p(-p) up to p = 1/2 and log q above, with no mask: capped at
+        # 1/2, the other side's term is log(1/2) + log 2 or log1p(-1/2), both
+        # exactly -log 2
+        np.minimum(p, 0.5, out=p)
+        np.minimum(q, 0.5, out=q)
+        t = np.log1p(np.negative(p, out=p), out=p)
         np.log(q, out=q)
-        q *= -self.hi_scale
-        q += self.hi_offset
-        np.putmask(pos, upper, q)
+        q += math.log(2.0)
+        t += q
+        np.negative(t, out=t)
+        pos = np.zeros_like(t)
+        for start, step in zip(self.knots[:-1], self.steps):
+            term = np.subtract(t, start, out=q)
+            np.maximum(term, 0.0, out=term)
+            term *= step
+            pos += term
+        return pos
+
+    def _horner(self, pos: np.ndarray) -> np.ndarray:
+        """The tabulated value at fractional panel indices pos, in place over pos."""
         idx = pos.astype(np.intp)
         np.minimum(idx, self.last, out=idx)
         pos -= idx
-        c = np.take(self.coeffs, idx, axis=0)
-        x = c[:, 4] * pos
-        for j in (3, 2, 1):
-            x += c[:, j]
-            x *= pos
-        x += c[:, 0]
-        return x
+        y = np.take(self.coeffs[-1], idx)
+        y *= pos
+        c = np.empty_like(y)
+        for row in self.coeffs[-2:0:-1]:
+            y += np.take(row, idx, out=c)
+            y *= pos
+        y += np.take(self.coeffs[0], idx, out=c)
+        return y
+
+
+def _gamma_parts(law: Gamma, t_hi: Optional[float]) -> tuple[list, list]:
+    """(knots, parts) of a gamma law's table: the lower part over
+    p^(1/shape) up to p = 1/2 and, where t_hi is given, the upper part over
+    t = -log q between the knots log 2 and t_hi."""
+    k, rate = law.shape, law.rate
+    log_gamma_k, log_gamma_k1 = math.lgamma(k), math.lgamma(k + 1.0)
+    z0 = math.exp(log_gamma_k1 / k) / rate
+
+    def lower_z(t, guess):
+        x = special.gammaincinv(k, np.power(t, k)) / rate
+        return np.where(t == 0.0, z0, x / t)
+
+    def lower_slope(t, z):
+        # dz/dt = (dx/dt - z) / t with dx/dt = Gamma(k+1) e^y (rate z)^(1-k) / rate,
+        # y = rate x = rate t z; z0^2 rate / (k + 1) at t = 0
+        dx = np.exp(log_gamma_k1 + rate * t * z + (1.0 - k) * np.log(rate * z)) / rate
+        return np.where(t == 0.0, z0 * z0 * rate / (k + 1.0), (dx - z) / t)
+
+    def upper_x(t, guess):
+        return law.quantile_log_ccdf(-t)
+
+    def upper_slope(t, x):
+        # dx/dt = q / f(x) = Gamma(k) e^(y - t) y^(1-k) / rate
+        y = rate * x
+        return np.exp(log_gamma_k + y - t - (k - 1.0) * np.log(y)) / rate
+
+    knots = [] if t_hi is None else [math.log(2.0), t_hi]
+    with np.errstate(all="ignore"):
+        parts = [_certified_part(lower_z, lower_slope, 0.0, 0.5 ** (1.0 / k))]
+        if knots:
+            parts.append(_certified_part(upper_x, upper_slope, *knots))
+    return knots, parts
+
+
+def _derived_parts(law: DerivedLaw, t_hi: float) -> tuple[list, list]:
+    """(knots, parts) of a derived law's table: s over t = -log q between
+    the knots t0 = max(0, -h(0)), a log_power ell's clamp kink, and t_hi."""
+    alpha, ell = law.alpha, law.ell
+    knots = [max(0.0, -float(_derived_log_raw(alpha, ell, 0.0))), t_hi]
+    # log y = -s stays on one side of the kink in each part
+    sides = [(0.0, math.inf)]
+    if isinstance(ell, SlowVaryLogPower):
+        y_k = math.log(ell.x_min)
+        t_k = -float(_derived_log_raw(alpha, ell, -y_k))
+        if knots[0] < t_k < t_hi:
+            knots.insert(1, t_k)
+            sides = [(0.0, y_k), (math.nextafter(y_k, math.inf), math.inf)]
+
+    def part(y_lo, y_hi, t0, t1):
+        def slope(t, s):
+            return -1.0 / (alpha + ell.log_slope(np.clip(-s, y_lo, y_hi)))
+
+        def s_of_t(t, guess):
+            # Newton starts one step past the table's own value, so a value
+            # within Newton's residual tolerance is still measured by that step
+            if guess is not None:
+                guess = guess + (_derived_log_raw(alpha, ell, guess) + t) * slope(t, guess)
+            # a draw has q < 1, so t = 0 stands for its limit q -> 1, not for
+            # q = 1, which the solver maps to 0 (they differ where h(0) > 0)
+            return law._solve_log_survival(np.minimum(-t, -_Q_FLOOR), guess)
+
+        return _certified_part(s_of_t, slope, t0, t1, law.channel.quantile_log_ccdf)
+
+    with np.errstate(all="ignore"):
+        parts = [part(*side, t0, t1) for side, t0, t1 in zip(sides, knots, knots[1:])]
+    return knots, parts
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +616,9 @@ class DerivedLaw:
     every evaluation narrows (bisecting when a step leaves it or lands on
     one of its ends), and stops once h(s) is within rounding noise of
     log q. Where log q >= h(0) the law is at or below q already at x = 0,
-    so the quantile is 0, as it is for q = 1.
+    so the quantile is 0, as it is for q = 1. Monte Carlo draws bounded
+    documents of a law with ell != 1 through its certified table of s
+    (_QuantileTable), whose nodes are these Newton roots.
     """
 
     channel: Union[Exponential, Weibull, Gamma]
@@ -516,11 +649,14 @@ class DerivedLaw:
             s = self._solve_log_survival(log_q.ravel()).reshape(log_q.shape)
         return self.channel.quantile_log_ccdf(s)
 
-    def _solve_log_survival(self, log_q: np.ndarray) -> np.ndarray:
+    def _solve_log_survival(self, log_q: np.ndarray,
+                            start: Optional[np.ndarray] = None) -> np.ndarray:
         """s <= 0 with h(s) = log_q, by bracketed Newton; 0 where log_q >= h(0).
 
-        log_q = 0 never enters Newton: h(0) can round above 0 (ell(1) just
-        below 1), and the iterate for q = 1 would then run away.
+        Newton starts at log_q / alpha, the root for ell == 1, or at start
+        (capped at 0), a guess of the same shape as log_q. log_q = 0 never
+        enters Newton: h(0) can round above 0 (ell(1) just below 1), and the
+        iterate for q = 1 would then run away.
 
         An iterate is accepted once its residual |h(s) - log_q| is within
         QUANTILE_RESIDUAL_TOL (1 + |log_q|), so the law's survival there is
@@ -533,7 +669,7 @@ class DerivedLaw:
         idx = np.flatnonzero((log_q < h_at_zero) & (log_q < 0.0))
         target = log_q[idx]
         tol = self.QUANTILE_RESIDUAL_TOL * (1.0 - target)
-        cur = target / self.alpha
+        cur = target / self.alpha if start is None else np.minimum(start[idx], 0.0)
         step = np.full_like(cur, np.inf)
         lo = np.full_like(cur, -np.inf)     # h(lo) < target <= h(hi)
         hi = np.zeros_like(cur)
@@ -638,27 +774,29 @@ class BoundedDoc:
 def sampling_quantiles(docs: Sequence[BoundedDoc]
                        ) -> list[Callable[[np.ndarray], np.ndarray]]:
     """Per document, the map from a 1-d array of uniforms to sizes that
-    Monte Carlo draws through.
+    Monte Carlo draws through: one rule, the law's certified table if it
+    has one, else the exact quantile.
 
-    The bounded Gamma documents of one base law share one certified
-    _GammaQuantileTable, built here for them all (about 5 ms for example4's
-    three bounds) and kept by nothing else. Every other document, a gamma
-    document with Fbar(bound) = 0 (an unbounded one among them), and the
-    documents of a law whose table does not certify get
-    doc.quantile_from_uniform.
+    The bounded documents of one gamma law, or of one derived law with
+    ell != 1, share one certified _QuantileTable, built here for them all
+    (about 5 ms for example4's three bounds) and kept by nothing else.
+    Every other document (exponential, Weibull, and derived with ell == 1,
+    whose root is closed), a document with Fbar(bound) = 0 (an unbounded
+    one among them), and the documents of a law whose table does not
+    certify get doc.quantile_from_uniform.
     """
     out = [doc.quantile_from_uniform for doc in docs]
-    by_law: dict[Gamma, list[int]] = {}
+    by_law: dict[Law, list[int]] = {}
     for i, doc in enumerate(docs):
-        if not isinstance(doc.base, Gamma):
+        if not _tabulated(doc.base):
             continue
         if doc.ccdf_at_bound > 0.0:
             by_law.setdefault(doc.base, []).append(i)
         else:
-            _log.debug("gamma quantile table: bound %g: Fbar(bound) = 0 leaves -log q "
+            _log.debug("quantile table: bound %g: Fbar(bound) = 0 leaves -log q "
                        "unbounded; using the exact quantile", doc.bound)
     for law, members in by_law.items():
-        table = _GammaQuantileTable.build(law, [docs[i] for i in members])
+        table = _QuantileTable.build(law, [docs[i] for i in members])
         if table is not None:
             for i in members:
                 out[i] = table.for_doc(docs[i])

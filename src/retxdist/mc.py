@@ -24,12 +24,12 @@ its own document quantile and channel survival function, counts, and
 bins the counts into its own tally at once. So the cases share their
 draws (common random numbers); run_tally is the pass over a single case.
 Each case's tally equals the one a pass of its own would give, with one
-caveat. The bounded gamma documents of one law share one certified
-quantile table, built once per pass (once in each of its processes) for
-all their bounds and kept by nothing between passes. A case's draws
-through it and through a lone pass's table agree to the tables' 1e-12,
-so the two tallies can differ only where a draw lies that close to a
-count boundary.
+caveat. The bounded documents of one gamma law, or of one derived law
+with ell != 1, share one certified quantile table, built once per pass
+(once in each of its processes) for all their bounds and kept by nothing
+between passes. A case's draws through it and through a lone pass's
+table agree to the tables' 1e-12, so the two tallies can differ only
+where a draw lies that close to a count boundary.
 The pass splits into spans of whole blocks, each run in a process of one
 pool and advanced to its first block, so its output depends on the seed
 alone, not on how many processes drew it. A tally bins a block's counts
@@ -197,8 +197,9 @@ def _count_blocks(models: Sequence[CoupledModel], gen: np.random.Generator,
 
     The one block loop: each block is drawn once, and every model's
     documents come from its doc's map in one sampling_quantiles call, which
-    builds one certified table per distinct gamma base law of the pass. A
-    RetxError raised for a model carries its index as case_index.
+    builds one certified table per distinct gamma or derived base law of
+    the pass. A RetxError raised for a model carries its index as
+    case_index.
     """
     i = 0
     try:
@@ -284,7 +285,7 @@ def run_tallies(cases: Sequence[tuple[CoupledModel, Sequence[int]]], samples: in
     draws from the seed's stream, all cases in one pass over it.
 
     Every case reads the same draws, and its tally equals run_tally's
-    (for gamma documents, up to the shared table's caveat in the module
+    (for tabulated documents, up to the shared table's caveat in the module
     docstring). workers is a process count only: the result depends on
     the seed alone. The stream's blocks split into at most min(workers,
     CPUs) spans of whole blocks, the last taking the partial block; each

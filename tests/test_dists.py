@@ -661,7 +661,7 @@ class TestGammaQuantileTable:
         law = Gamma(rate, shape)
         doc = BoundedDoc(law, bound)
         table = _sampling_quantile(doc)
-        assert isinstance(table, dists._GammaQuantileTable)
+        assert isinstance(table, dists._QuantileTable)
         assert len(table.panels) == (1 if doc.cdf_at_bound <= 0.5 else 2)
         assert table.max_error <= 1e-12
         u = _panel_midpoint_uniforms(law, doc, table, -math.log(doc.ccdf_at_bound))
@@ -719,7 +719,7 @@ class TestGammaQuantileTable:
         assert "bound inf" in caplog.text and "exact quantile" in caplog.text
 
     def test_uncertified_table_falls_back(self, monkeypatch, caplog):
-        monkeypatch.setattr(dists, "_GAMMA_TABLE_MAX_PANELS", dists._GAMMA_TABLE_PANELS)
+        monkeypatch.setattr(dists, "_TABLE_MAX_PANELS", dists._TABLE_PANELS)
         docs = [BoundedDoc(Gamma(2.0, 2.0), b) for b in (3.0, 2.0)]
         with caplog.at_level(logging.DEBUG, logger="retxdist"):
             assert sampling_quantiles(docs) == [d.quantile_from_uniform for d in docs]
@@ -737,6 +737,175 @@ class TestGammaQuantileTable:
         docs = [BoundedDoc(Exponential(2.0), 3.0), BoundedDoc(Weibull(0.5, 16.0), 3.0),
                 BoundedDoc(Gamma(2.0, 2.0), math.inf)]
         assert sampling_quantiles(docs) == [d.quantile_from_uniform for d in docs]
+
+
+class TestCertifiedPart:
+    def test_negative_function_with_a_kink_does_not_certify(self, monkeypatch):
+        # y = -1 - |t - 0.3| kinks inside a panel; the midpoint miss is taken
+        # relative to |y|, so a negative y misses as a positive one does
+        monkeypatch.setattr(dists, "_TABLE_MAX_PANELS", dists._TABLE_PANELS)
+        for sign in (-1.0, 1.0):
+            _, n, err = dists._certified_part(
+                lambda t, guess: sign * (-1.0 - np.abs(t - 0.3)),
+                lambda t, y: sign * -np.sign(t - 0.3), 0.0, 1.0)
+            assert n == dists._TABLE_PANELS
+            assert err > 1e-4
+
+
+# Derived laws with ell != 1 whose tables certify, with the bounds that
+# share one: perfbench's derived-weibull law, split at its clamp kink,
+# log_power laws on the other channel families, and one with ell(1) < 1,
+# whose raw survival starts above 1, so that its quantile jumps from 0 at
+# q = 1 to the root of h(s) = 0 just below.
+DERIVED_TABLE_CASES = [
+    (Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), (4.0, 16.0)),
+    (Exponential(2.0), 1.5, SlowVaryLogPower(1.0, 1.0), (0.2, 3.0)),
+    (Gamma(2.0, 2.0), 0.5, SlowVaryLogPower(1.0, 2.0), (3.0,)),
+    (Weibull(2.0, 2.0), 2.0, SlowVaryLogPower(0.5, -0.5, 5.0), (4.0,)),
+]
+
+
+def _derived_docs(channel, alpha, ell, bounds):
+    return [derive_doc_law(channel, alpha, ell, b).doc for b in bounds]
+
+
+def _derived_reference(doc, u):
+    """x for uniforms u through the law's Newton root at the cancellation-free
+    log q: log1p(-u F(b)) up to p = 1/2, log((1 - u) F(b) + Fbar(b)) above."""
+    p = u * doc.cdf_at_bound
+    with np.errstate(divide="ignore"):
+        log_q = np.where(p <= 0.5, np.log1p(-p),
+                         np.log((1.0 - u) * doc.cdf_at_bound + doc.ccdf_at_bound))
+    return doc.base.quantile_log_ccdf(log_q)
+
+
+def _derived_midpoint_uniforms(doc, table):
+    """Uniforms of doc at the midpoint t of every panel that doc reaches."""
+    t = np.concatenate([t0 + (np.arange(n) + 0.5) * ((t1 - t0) / n)
+                        for t0, t1, n in zip(table.knots, table.knots[1:], table.panels)])
+    q = np.exp(-t)
+    u = np.where(q >= 0.5, -np.expm1(-t), 1.0 - (q - doc.ccdf_at_bound)) / doc.cdf_at_bound
+    return u[u <= 1.0]
+
+
+def _max_rel_miss(x, ref):
+    return float(np.max(np.abs(x - ref) / ref))
+
+
+class TestDerivedQuantileTable:
+    @pytest.mark.parametrize("channel,alpha,ell,bounds", DERIVED_TABLE_CASES,
+                             ids=lambda v: repr(v)[:24])
+    def test_midpoints_certified(self, channel, alpha, ell, bounds):
+        docs = _derived_docs(channel, alpha, ell, bounds)
+        for doc, table in zip(docs, sampling_quantiles(docs)):
+            assert isinstance(table, dists._QuantileTable)
+            assert table.max_error <= 1e-12
+            u = _derived_midpoint_uniforms(doc, table)
+            assert _max_rel_miss(table(u), _derived_reference(doc, u)) <= 1e-12
+            u = RandomStream(64).uniforms(20_000)
+            assert _max_rel_miss(table(u), _derived_reference(doc, u)) <= 2e-12
+
+    def test_bounds_of_one_law_share_one_table(self):
+        docs = _derived_docs(*DERIVED_TABLE_CASES[0])
+        tables = sampling_quantiles(docs)
+        assert tables[0].coeffs is tables[1].coeffs
+        assert [t.bound for t in tables] == [4.0, 16.0]
+        assert tables[0].knots[-1] == -math.log(docs[1].ccdf_at_bound)
+
+    def test_kink_split_takes_the_one_sided_slope(self):
+        # h(s) = 1.5 s - log(max(-s, 1)): h' is 1.5 above the kink s = -1 and
+        # 1.5 + 1 just below it, at t = -h(-1) = 1.5
+        (table,) = sampling_quantiles(_derived_docs(*DERIVED_TABLE_CASES[0])[1:])
+        t0, t_k, t_hi = table.knots
+        assert (t0, t_k) == (0.0, 1.5)
+        n_a, n_b = table.panels
+        assert n_b <= 1024
+        c0, c1, c2, c3 = table.coeffs[:, n_a - 1:n_a + 1]
+        # the panel ending at the kink, and the one starting there: ds/dt = -1 / h'
+        assert c0[1] == pytest.approx(-1.0, rel=1e-15)
+        assert c1[0] + 2.0 * c2[0] + 3.0 * c3[0] == pytest.approx(-t_k / n_a / 1.5, rel=1e-12)
+        assert c1[1] == pytest.approx(-(t_hi - t_k) / n_b / 2.5, rel=1e-12)
+
+    def test_draws_follow_the_law(self):
+        doc = _derived_docs(*DERIVED_TABLE_CASES[0])[1]
+        xs = sampling_quantiles([doc])[0](RandomStream(65).uniforms(200_000))
+        assert np.all((xs >= 0.0) & (xs <= doc.bound))
+        d = ks_statistic_uniform(np.asarray(doc.cdf(xs)))
+        assert d < 1.63 / math.sqrt(len(xs))
+
+    def test_deep_bound_keeps_u_near_one(self):
+        # Fbar(9) = e^-27 / 18 = 1.0e-13: log1p(-u F(b)) would round u F(b)
+        # to 1 - Fbar(b) within 1e-16 absolute, 1e-3 of Fbar(b)
+        doc = derive_doc_law(Exponential(2.0), 1.5, SlowVaryLogPower(1.0, 1.0), 9.0).doc
+        assert 0.0 < doc.ccdf_at_bound <= 1e-12
+        table = sampling_quantiles([doc])[0]
+        assert isinstance(table, dists._QuantileTable)
+        u = 1.0 - np.array([0.0, 2.0 ** -53, 2.0 ** -52, 1e-15, 1e-13, 1e-10, 1e-6])
+        x = table(u)
+        assert np.all(x <= doc.bound)
+        assert x[0] == doc.bound or x[0] == pytest.approx(doc.bound, rel=1e-12)
+        assert _max_rel_miss(x, _derived_reference(doc, u)) <= 1e-12
+
+    def test_draws_stay_inside_their_bound(self):
+        # at u = 1 the table lands on t = -log Fbar(b), where x rounds to
+        # within an ulp or so of b, on either side
+        channel, alpha, ell, _ = DERIVED_TABLE_CASES[0]
+        docs = _derived_docs(channel, alpha, ell, np.geomspace(0.3, 16.0, 40))
+        for doc, table in zip(docs, sampling_quantiles(docs)):
+            x = table(np.array([1.0, 1.0 - 2.0 ** -53]))
+            assert np.all(x <= doc.bound)
+            assert x[0] == pytest.approx(doc.bound, rel=1e-14)
+
+    def test_quantile_is_zero_below_the_law_start(self):
+        # coeff 2: the raw survival starts at 1/2, so every q above it maps to
+        # x = 0 and the table starts at t0 = log 2
+        doc = derive_doc_law(Exponential(2.0), 3.0, SlowVaryLogPower(2.0, 1.0), 3.0).doc
+        table = sampling_quantiles([doc])[0]
+        assert table.knots[0] == pytest.approx(math.log(2.0), rel=1e-15)
+        p = np.array([1e-12, 0.25, 0.4999])
+        assert np.all(table(p / doc.cdf_at_bound) == 0.0)
+        u = np.array([0.6, 0.9, 1.0]) / doc.cdf_at_bound
+        assert _max_rel_miss(table(u[u <= 1.0]), _derived_reference(doc, u[u <= 1.0])) <= 1e-12
+
+    def test_uncertified_law_falls_back(self, monkeypatch, caplog):
+        monkeypatch.setattr(dists, "_TABLE_MAX_PANELS", dists._TABLE_PANELS)
+        docs = _derived_docs(*DERIVED_TABLE_CASES[0])
+        with caplog.at_level(logging.DEBUG, logger="retxdist"):
+            assert sampling_quantiles(docs) == [d.quantile_from_uniform for d in docs]
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "up to bound 16, 64+64 panels, midpoint error" in record.message
+
+    def test_flat_start_falls_back(self, caplog):
+        # alpha = 1 with the exact gamma ell: h'(0) = 0, so ds/dt is infinite
+        # at t = 0 and no cubic holds s there
+        doc = derive_doc_law(Exponential(2.0), 1.0, SlowVaryGammaDoc(2.0, 2.0, 2.0), 3.0).doc
+        with caplog.at_level(logging.DEBUG, logger="retxdist"):
+            assert sampling_quantiles([doc]) == [doc.quantile_from_uniform]
+        assert "64 panels, midpoint error inf" in caplog.text
+
+    def test_certificate_sees_past_newtons_tolerance(self, caplog):
+        # h(s) = 2 s + log(1 - s) is not linear near s = 0, where x ~ s^2 is
+        # small: a midpoint within Newton's absolute residual tolerance can
+        # still miss by far more than 1e-12 relative, and the step Newton
+        # would take from it shows that
+        doc = derive_doc_law(Weibull(0.5, 1.0), 2.0, SlowVaryGammaDoc(2.0, 2.0, 2.0), 16.0).doc
+        with caplog.at_level(logging.DEBUG, logger="retxdist"):
+            assert sampling_quantiles([doc]) == [doc.quantile_from_uniform]
+        assert "16384 panels, midpoint error" in caplog.text
+
+    def test_failed_root_falls_back(self, monkeypatch, caplog):
+        monkeypatch.setattr(DerivedLaw, "QUANTILE_MAX_ITER", 0)
+        docs = _derived_docs(*DERIVED_TABLE_CASES[0])
+        with caplog.at_level(logging.DEBUG, logger="retxdist"):
+            assert sampling_quantiles(docs) == [d.quantile_from_uniform for d in docs]
+        assert "still moving" in caplog.text and "exact quantile" in caplog.text
+
+    def test_closed_form_root_takes_the_exact_path(self):
+        # ell == 1: the root log q / alpha needs no table
+        docs = [derive_doc_law(Exponential(1.0), 2.0, SlowVaryOne(), b).doc for b in (1.0, 4.0)]
+        assert sampling_quantiles(docs) == [d.quantile_from_uniform for d in docs]
+
 
 DERIVED_LAWS = [derive_doc_law(channel, alpha, ell, bound).doc.base
                 for channel, bound in DERIVED_CHANNELS for alpha, ell in DERIVED_ELLS]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import re
@@ -583,6 +584,24 @@ class TestCli:
             name = f"_{label}.csv"
             assert ((tmp_path / ("w1" + name)).read_bytes()
                     == (tmp_path / ("w2" + name)).read_bytes())
+
+    def test_run_flat_start_derived_config_exits_zero(self, tmp_path, capsys, caplog):
+        # alpha = 1 and the exact gamma ell of shape 2.5: h'(0) = 0, so the
+        # law has no certified table and its documents take bracketed Newton
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "flat-start",
+            "model": {"channel": {"family": "exponential", "rate": 2.0},
+                      "doc": {"derived": True}, "bound": [3.0]},
+            "alpha": 1.0,
+            "ell": {"kind": "gamma_doc_exact", "doc_rate": 2.0, "shape": 2.5,
+                    "channel_rate": 2.0},
+            "output": str(tmp_path / "flat")}))
+        with caplog.at_level(logging.DEBUG, logger="retxdist"):
+            assert cli.main(["run", "--config", str(cfg_path), "--samples", "100000",
+                             "--workers", "1"]) == 0
+        assert "using the exact quantile" in caplog.text
+        assert "wrote" in capsys.readouterr().out
 
     def test_preset_verb(self, capsys):
         assert cli.main(["preset", "example1a"]) == 0

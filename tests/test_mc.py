@@ -173,7 +173,7 @@ class TestGammaDocuments:
                 assert lo <= k <= hi, (bound, n, k, lo, hi)
 
     def test_uncertified_table_draws_exactly(self, monkeypatch):
-        monkeypatch.setattr(dists, "_GAMMA_TABLE_MAX_PANELS", dists._GAMMA_TABLE_PANELS)
+        monkeypatch.setattr(dists, "_TABLE_MAX_PANELS", dists._TABLE_PANELS)
         m = model_4(3.0)
         got = mc.sample_N_batch(m, mc.RandomStream(14), 5_000)
         want = _batch_counts(m, m.doc.quantile_from_uniform,
@@ -214,8 +214,20 @@ class TestGammaDocuments:
         assert np.count_nonzero(table != exact) <= 2
 
 
-# One model per document family: exponential, Weibull, the certified gamma
-# table, and a derived law with a log_power ell.
+
+class TestDerivedDocuments:
+    def test_table_counts_match_exact_counts(self):
+        # the derived-weibull law at bound 16, through its certified table
+        m = derive_doc_law(Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0)
+        table = _batch_counts(m, dists.sampling_quantiles([m.doc])[0],
+                              mc.RandomStream(16).generator, 100_000)
+        exact = _batch_counts(m, m.doc.quantile_from_uniform,
+                              mc.RandomStream(16).generator, 100_000)
+        assert np.count_nonzero(table != exact) <= 2
+
+
+# One model per document family: exponential, Weibull, and the two kinds of
+# certified table, gamma and a derived law with a log_power ell.
 _FAMILY_MODELS = {
     "exponential": lambda: model_1a(1.0),
     "weibull": lambda: model_3(0.5, 2.0),
@@ -223,6 +235,7 @@ _FAMILY_MODELS = {
     "derived_log_power": lambda: derive_doc_law(
         Weibull(0.5, 1.0), 1.5, SlowVaryLogPower(1.0, 1.0), 16.0),
 }
+_TABLE_FAMILIES = ("gamma_table", "derived_log_power")
 _BLOCKS_QUOTA = 2 * mc._BLOCK + 7
 
 
@@ -234,7 +247,7 @@ class TestBlockCounts:
         m = _FAMILY_MODELS[family]()
         gen = mc.RandomStream(41).generator
         quantile = dists.sampling_quantiles([m.doc])[0]
-        assert isinstance(quantile, dists._GammaQuantileTable) == (family == "gamma_table")
+        assert isinstance(quantile, dists._QuantileTable) == (family in _TABLE_FAMILIES)
         want = np.concatenate([
             _batch_counts(m, quantile, gen, min(mc._BLOCK, _BLOCKS_QUOTA - done))
             for done in range(0, _BLOCKS_QUOTA, mc._BLOCK)])
