@@ -15,12 +15,12 @@ from the channel law through the relation).
 Every law method takes an array (or a number) and returns the numpy
 result of one vectorized body; a 0-d input comes back as an np.float64.
 Every law inverts its survival at a log level (quantile_log_ccdf), and a
-bounded document draws through it at log q = log1p(-u F(bound)). The
-gamma family evaluates and inverts through scipy.special, cross-checked
-against the in-house incomplete Gamma in the tests. sampling_quantiles
-gives Monte Carlo one certified quantile table (_QuantileTable) per
-numerically inverted law, gamma or derived with ell != 1, which every
-bounded document of that law draws through.
+bounded document draws through it at log q = log1p(-u F(bound)), capped
+at the bound. The gamma family evaluates and inverts through
+scipy.special, cross-checked against the in-house incomplete Gamma in the
+tests. sampling_quantiles gives Monte Carlo one certified quantile table
+(_QuantileTable) per numerically inverted law, gamma or derived with
+ell != 1, which every bounded document of that law draws through.
 
 Laws carry a family tag and slowly varying functions a kind tag, which
 the config format (experiment.py) maps with their dataclass fields. All
@@ -57,8 +57,9 @@ class LazyModule:
 
     The first attribute read imports the module and rebinds the name to
     it, so later reads are a plain global lookup. Importing scipy.special
-    is a large part of the package's import time, and only gamma laws and
-    confidence intervals use it.
+    is a large part of the package's import time and memory, and only
+    gamma laws use it: the Gamma family, and gamma_doc_exact ell off its
+    integer-shape series.
     """
 
     def __init__(self, namespace: dict, name: str, module: str):
@@ -70,7 +71,7 @@ class LazyModule:
         return getattr(module, attr)
 
 
-# scipy.special, imported at its first use; mc.wilson_interval reads it here too
+# scipy.special, imported at its first use: gamma laws are its only users
 special = LazyModule(globals(), "special", "scipy.special")
 
 # Grid sizes fixed by the model-validation contracts.
@@ -266,21 +267,23 @@ class _QuantileTable:
 
     A derived law holds s = log Gbar(x) over t = -log q for every p, taken
     as -log1p(-p) below p = 1/2, so a small p keeps its digits; x is the
-    channel's quantile_log_ccdf(s), certified relative in x and capped at
-    the bound. Nodes come from the law's Newton root of h(s) = -t, and the
-    slopes ds/dt = -1 / h'(s), h'(s) = alpha + ell.log_slope(-s). The table
+    channel's quantile_log_ccdf(s), certified relative in x. Nodes come
+    from the law's Newton root of h(s) = -t, and the slopes ds/dt =
+    -1 / h'(s), h'(s) = alpha + ell.log_slope(-s). The table
     starts at t0 = max(0, -h(0)), below which the quantile is 0 (at t0 = 0
     its node is the root's limit as q -> 1, which draws, all with q < 1,
     approach). A log_power ell's clamp kinks h, so the parts split there;
     each part takes the slope of its own side of the kink.
 
     A document enters only through its F(b), Fbar(b) and bound, which
-    for_doc sets on a copy that shares the panels. Lower gamma panel i
-    stores x = (i + f) z(f) / lo_scale as one quartic in the panel fraction
-    f, and every other panel its cubic, with a zero fifth coefficient in a
-    gamma table, so a call is one Horner pass over one fractional panel
-    index. Calls take a 1-d array of uniforms; Monte Carlo hands them one
-    block at a time, which keeps the temporaries in cache.
+    for_doc sets on a copy that shares the panels. Either table's value is
+    capped at the bound, which a value certified only to _TABLE_TOL could
+    pass at u = 1. Lower gamma panel i stores x = (i + f) z(f) / lo_scale
+    as one quartic in the panel fraction f, and every other panel its
+    cubic, with a zero fifth coefficient in a gamma table, so a call is one
+    Horner pass over one fractional panel index. Calls take a 1-d array of
+    uniforms; Monte Carlo hands them one block at a time, which keeps the
+    temporaries in cache.
     """
 
     def __init__(self, law: Law, knots: list, parts: list) -> None:
@@ -356,9 +359,7 @@ class _QuantileTable:
         # each step's temporaries go when it returns, so fewer block-sized
         # arrays are live at once and malloc does not trim the heap per block
         y = self._horner(self._position(u))
-        if self.channel is None:
-            return y
-        x = self.channel.quantile_log_ccdf(y)
+        x = y if self.channel is None else self.channel.quantile_log_ccdf(y)
         return np.minimum(x, self.bound, out=x)
 
     def _position(self, u: np.ndarray) -> np.ndarray:
@@ -764,11 +765,14 @@ class BoundedDoc:
 
         The base law's log-survival quantile at log1p(-u * F(bound)), which
         keeps every digit of a small u, floored at log(5e-324) for the -inf
-        that an unbounded document gives at u = 1.
+        that an unbounded document gives at u = 1, and capped at the bound:
+        where F(bound) rounds to 1, that floor stands in for log Fbar(bound)
+        and the quantile lands past the bound.
         """
         with np.errstate(divide="ignore"):
             log_q = np.log1p(np.asarray(u, dtype=float) * -self.cdf_at_bound)
-        return self.base.quantile_log_ccdf(np.maximum(log_q, math.log(_Q_FLOOR)))
+        x = np.asarray(self.base.quantile_log_ccdf(np.maximum(log_q, math.log(_Q_FLOOR))))
+        return np.minimum(x, self.bound, out=x)[()]
 
 
 def sampling_quantiles(docs: Sequence[BoundedDoc]

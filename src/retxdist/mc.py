@@ -43,14 +43,12 @@ turns it into the three Monte Carlo columns of a case table.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import dists
 from .dists import CoupledModel, sampling_quantiles
 from .errors import InvalidParameter, RetxError
 
@@ -322,21 +320,47 @@ def run_tally(m: CoupledModel, grid: Sequence[int], samples: int,
     return run_tallies([(m, grid)], samples, seed, workers)[0]
 
 
-def wilson_interval(successes: int, total: int, confidence: float) -> tuple[float, float]:
-    """Wilson score interval; keeps sane coverage at deep-tail counts."""
+def _wilson_z(confidence: float) -> float:
+    """The two-sided standard normal quantile z for confidence.
+
+    Read from the lower tail, z = -Phi^-1((1 - confidence) / 2): that level
+    is exact for confidence >= 1/2, and z stays finite up to the largest
+    double below 1, where 1/2 + confidence/2 rounds to 1.
+    """
+    # imported here: only intervals need statistics, whose import takes about 6 ms
+    from statistics import NormalDist
+    return -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
+
+
+def _wilson_bounds(successes: np.ndarray, total: int, confidence: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Wilson score bounds (lo, hi) for each count of successes out of total."""
     if not 0.0 < confidence < 1.0:
         raise InvalidParameter(f"confidence must be in (0, 1), got {confidence}")
     if total <= 0:
         raise InvalidParameter("total must be positive")
-    z = float(dists.special.ndtri(0.5 + confidence / 2.0))
+    if not np.all((successes >= 0) & (successes <= total)):
+        raise InvalidParameter(f"success counts must lie in [0, {total}]")
+    z = _wilson_z(confidence)
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2.0 * total)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / total
-                         + z * z / (4.0 * total * total)) / denom
-    lo = 0.0 if successes == 0 else max(0.0, center - half)
-    hi = 1.0 if successes == total else min(1.0, center + half)
+    half = z * np.sqrt(phat * (1.0 - phat) / total
+                       + z * z / (4.0 * total * total)) / denom
+    lo, hi = center - half, center + half
+    # 0 at no successes and 1 at all of them; else clipped to [0, 1]
+    lo = np.where((successes > 0) & (lo > 0.0), lo, 0.0)
+    hi = np.where((successes < total) & (hi < 1.0), hi, 1.0)
     return lo, hi
+
+
+def wilson_interval(successes: int, total: int, confidence: float) -> tuple[float, float]:
+    """Wilson score interval; keeps sane coverage at deep-tail counts.
+
+    The one-count case of empirical_ccdf's intervals.
+    """
+    lo, hi = _wilson_bounds(np.array([successes], dtype=float), total, confidence)
+    return float(lo[0]), float(hi[0])
 
 
 def empirical_ccdf(t: Tally, confidence: float = 0.95
@@ -345,6 +369,6 @@ def empirical_ccdf(t: Tally, confidence: float = 0.95
 
     Returns three float arrays: value, ci_lo and ci_hi.
     """
-    lo, hi = np.array([wilson_interval(k, t.total, confidence)
-                       for k in t.exceed_counts], dtype=float).reshape(-1, 2).T
-    return np.asarray(t.exceed_counts, dtype=float) / t.total, lo, hi
+    counts = np.asarray(t.exceed_counts, dtype=float)
+    lo, hi = _wilson_bounds(counts, t.total, confidence)
+    return counts / t.total, lo, hi

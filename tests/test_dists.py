@@ -14,7 +14,7 @@ import pytest
 from scipy import special
 
 from conftest import ks_statistic, ks_statistic_uniform, model_1a, model_3, model_4
-from retxdist import dists, gammafn
+from retxdist import dists, experiment, gammafn
 from retxdist.dists import (
     BoundedDoc,
     CoupledModel,
@@ -231,6 +231,20 @@ class TestBoundedDoc:
                 for u in us])
         got = doc.quantile_from_uniform(us)
         assert np.max(np.abs(got / want - 1.0)) <= ulps * np.finfo(float).eps
+
+    @pytest.mark.parametrize("name", experiment.preset_names())
+    def test_preset_draws_stay_inside_the_bound(self, name):
+        # at u = 1 example3 k2_b8's F(8) rounds to 1 (Fbar(8) = 1.6e-28), and a
+        # gamma table's value is certified only to 1e-12 relative
+        cfg = experiment.preset(name)
+        docs = [experiment.build_model(channel, doc, cfg.alpha, cfg.ell, bound).doc
+                for _, channel, doc, bound in cfg.cases()]
+        u = np.array([1.0, 1.0 - 2.0 ** -53])
+        for doc, quantile in zip(docs, sampling_quantiles(docs)):
+            xs = quantile(u)
+            assert np.all((xs >= 0.0) & (xs <= doc.bound)), (doc, xs.tolist())
+            x = doc.quantile_from_uniform(1.0)
+            assert type(x) is np.float64 and 0.0 <= x <= doc.bound, (doc, x)
 
     def test_degenerate_truncation(self):
         with pytest.raises(DegenerateTruncation):

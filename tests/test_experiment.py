@@ -14,7 +14,7 @@ import pytest
 
 from retxdist import cli, experiment as E, mc, oracle
 from retxdist.asym import ApproxParams, exact_integer_ccdf
-from retxdist.dists import SlowVaryGammaDoc
+from retxdist.dists import Gamma, SlowVaryGammaDoc
 from retxdist.errors import (ConfigInvalid, CouplingInvalid, NonConvergence,
                              QuadratureFailure, UnknownPreset)
 
@@ -466,14 +466,63 @@ def test_monte_carlo_failure_names_the_later_case(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+# Runs cli commands, given as a JSON list of argv lists, in one fresh
+# interpreter; prints whether scipy is loaded after the import and after each.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from retxdist import cli
+seen = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen.append("scipy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def _scipy_loaded(argvs: list) -> dict:
+    """{"import": loaded after importing the cli, " ".join(argv): loaded
+    after that command too} over argvs run in order in one process."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, retxdist.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        text=True, timeout=120)
+        text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return dict(zip(["import"] + [" ".join(a) for a in argvs], json.loads(proc.stdout)))
+
+
+def _has_gamma_law(name: str) -> bool:
+    cfg = E.preset(name)
+    return isinstance(cfg.ell, SlowVaryGammaDoc) or any(
+        isinstance(law, Gamma) for _, channel, doc, _ in cfg.cases() for law in (channel, doc))
+
+
+def _quick_run(name: str, outdir: Path) -> list:
+    return ["run", "--preset", name, "--samples", "2000", "--workers", "1",
+            "--output", str(outdir / name)]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    assert _scipy_loaded([]) == {"import": False}
+
+
+def test_verbs_without_a_gamma_law_leave_scipy_unloaded(tmp_path):
+    # the Wilson interval's z comes from the standard library, so only a
+    # gamma law needs scipy.special; every preset without one is covered
+    argvs = [_quick_run(name, tmp_path) for name in E.preset_names()
+             if not _has_gamma_law(name)]
+    assert len(argvs) >= 4
+    argvs += [[verb, "--preset", "example1a", "--n", "1000"] for verb in ("oracle", "approx")]
+    loaded = _scipy_loaded(argvs)
+    assert loaded == dict.fromkeys(loaded, False)
+
+
+def test_a_gamma_law_loads_scipy(tmp_path):
+    # the probe above sees scipy arrive when it does
+    assert _has_gamma_law("example4")
+    argv = _quick_run("example4", tmp_path)
+    assert _scipy_loaded([argv]) == {"import": False, " ".join(argv): True}
 
 
 class TestCaseErrors:

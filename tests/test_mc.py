@@ -484,9 +484,64 @@ class TestTallyAndCurve:
         lo, hi = mc.wilson_interval(1000, 1000, 0.95)
         assert hi == 1.0
 
+    @pytest.mark.parametrize("successes", [-1, 1001])
+    def test_wilson_rejects_counts_outside_the_total(self, successes):
+        with pytest.raises(InvalidParameter):
+            mc.wilson_interval(successes, 1000, 0.95)
+
+    @pytest.mark.parametrize("confidence", [0.5 + 1e-9, 0.6827, 0.9, 0.95, 0.99, 0.999,
+                                            1.0 - 1e-12])
+    def test_normal_quantile_against_mpmath(self, confidence):
+        _assert_normal_quantile(confidence)
+
+    def test_normal_quantile_sweep(self):
+        for confidence in np.random.default_rng(73).uniform(0.0, 1.0, 300):
+            _assert_normal_quantile(float(confidence))
+        # the lower tail keeps z finite where 1/2 + confidence/2 rounds to 1
+        assert math.isfinite(mc._wilson_z(math.nextafter(1.0, 0.0)))
+
+    def test_curve_is_the_interval_of_each_count(self):
+        # the array path is the scalar interval's arithmetic, bit for bit
+        total = 1_000_003
+        counts = (total, total - 1, 987_654, 500_000, 31_337, 1_000, 17, 1, 0)
+        t = mc.Tally(tuple(range(1, len(counts) + 1)), counts, total)
+        for confidence in (0.6827, 0.95, 0.999):
+            value, ci_lo, ci_hi = mc.empirical_ccdf(t, confidence)
+            lo, hi = np.array([mc.wilson_interval(k, total, confidence) for k in counts]).T
+            assert ci_lo.tobytes() == lo.tobytes() and ci_hi.tobytes() == hi.tobytes()
+            z = mc._wilson_z(confidence)
+            lo, hi = np.array([_scalar_wilson(k, total, z) for k in counts]).T
+            assert ci_lo.tobytes() == lo.tobytes() and ci_hi.tobytes() == hi.tobytes()
+            assert value.tolist() == [k / total for k in counts]
+
     def test_empirical_curve_shape(self):
         t = mc.Tally((1, 2, 5), (600, 300, 0), 1000)
         value, ci_lo, ci_hi = mc.empirical_ccdf(t, 0.95)
         assert value.tolist() == [0.6, 0.3, 0.0]
         assert np.all((ci_lo <= value) & (value <= ci_hi))
         assert ci_lo[2] == 0.0
+
+
+def _assert_normal_quantile(confidence):
+    """z for confidence within 4 eps of mpmath's sqrt(2) erfinv(2p - 1) at the
+    level p = 1/2 + confidence/2 that it stands for, p taken from the double
+    (1 - confidence) / 2 that the code reads, so the check is of z alone."""
+    mpmath = pytest.importorskip("mpmath")
+    tail = (1.0 - confidence) / 2.0
+    with mpmath.workdps(40):
+        want = float(mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(tail)))
+    got = mc._wilson_z(confidence)
+    assert abs(got / want - 1.0) <= 4 * np.finfo(float).eps, (confidence, got, want)
+
+
+def _scalar_wilson(successes, total, z):
+    """The Wilson interval of one count in Python floats: the reference that
+    empirical_ccdf's array arithmetic equals bit for bit."""
+    phat = successes / total
+    denom = 1.0 + z * z / total
+    center = (phat + z * z / (2.0 * total)) / denom
+    half = z * math.sqrt(phat * (1.0 - phat) / total
+                         + z * z / (4.0 * total * total)) / denom
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == total else min(1.0, center + half)
+    return lo, hi
